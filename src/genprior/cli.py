@@ -160,7 +160,10 @@ def cmd_rate(args):
 # ----------------------------------------------------------------- check
 
 def cmd_check(args):
-    reports = _run_suite(args.suite, args.seed, args.n)
+    try:
+        reports = _run_suite(args.suite, args.seed, args.n)
+    except ValueError as e:
+        raise ConfigError(f"check {args.suite}: {e}") from e
     passed = all(r.passed for r in reports)
     if not args.quiet:
         for r in reports:
@@ -401,13 +404,13 @@ def _write_json(path, doc):
 
 
 def _threads(args):
+    """Worker count from GENPRIOR_THREADS or --threads, in [1, cpu count]."""
     env = os.environ.get("GENPRIOR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as e:
-            raise ConfigError(f"GENPRIOR_THREADS: {e}") from e
-    return max(1, args.threads)
+    try:
+        n = int(env) if env else args.threads
+    except ValueError as e:
+        raise ConfigError(f"GENPRIOR_THREADS: {e}") from e
+    return min(max(1, n), os.cpu_count() or 1)
 
 
 if __name__ == "__main__":

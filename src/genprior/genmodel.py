@@ -179,6 +179,31 @@ def vjp(decoder, z, v):
     return g
 
 
+def _forward_cached(decoder, z):
+    """Outputs for the rows of z, (B, k), and the hidden activations."""
+    hidden = []
+    h = z
+    last = len(decoder.layers) - 1
+    for i, (w, b) in enumerate(decoder.layers):
+        h = h @ w.T + b
+        if i < last:
+            h = _act(decoder.activation, h)
+            hidden.append(h)
+    return h, hidden
+
+
+def _vjp_cached(decoder, hidden, v):
+    """Row-wise ``vjp`` from the activations of ``_forward_cached``; the
+    activation derivative is read off them: 1 - tanh^2, or relu > 0."""
+    g = v
+    for i in range(len(decoder.layers) - 1, -1, -1):
+        g = g @ decoder.layers[i][0]
+        if i > 0 and decoder.activation != "identity":
+            h = hidden[i - 1]
+            g = g * (1.0 - h * h if decoder.activation == "tanh" else h > 0)
+    return g
+
+
 def lipschitz_bound(decoder):
     """Upper bound on the decoder's Lipschitz constant (cached at build)."""
     return decoder.lipschitz

@@ -86,29 +86,24 @@ def project(decoder, x, cfg, seed, warm_start=None):
 
     A warm start, when given, runs as restart 0; remaining restarts draw
     their initial latent per cfg.init. Ties in residual go to the lowest
-    restart index.
+    restart index; a non-finite residual never wins over a finite one.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (decoder.ambient_dim,):
         raise ValueError(f"expected ambient vector of length {decoder.ambient_dim}")
     if cfg.method == "exact_linear":
         return project_exact_linear(decoder, x)
-    best = None
-    for i in range(cfg.restarts):
-        rng = np.random.default_rng(derive_seed(seed, "restart", i))
-        if i == 0 and warm_start is not None:
-            z0 = np.asarray(warm_start, dtype=float).copy()
-        elif cfg.init == "zero":
-            z0 = np.zeros(decoder.latent_dim)
-        else:
-            z0 = rng.standard_normal(decoder.latent_dim)
-        z0 = _clip_ball(z0, decoder.latent_radius)
-        z, res, oob = _descend(decoder, x, cfg, z0)
-        if best is None or res < best[1]:
-            best = (z, res, oob, i)
-    z, res, oob, idx = best
-    x_hat = genmodel.forward(decoder, z)
-    return ProjectionResult(z, x_hat, float(np.linalg.norm(x_hat - x)), idx, oob)
+
+    def objective(fz):
+        d = fz - x
+        return 0.5 * np.add.reduce(d * d, 1), d
+
+    z0 = _start_latents(decoder, cfg, seed, "restart", warm_start)
+    z, res, oob = _descend(decoder, cfg, z0, objective)
+    idx = int(_first_min(res))
+    x_hat = genmodel.forward(decoder, z[idx])
+    return ProjectionResult(z[idx], x_hat, float(np.linalg.norm(x_hat - x)),
+                            idx, int(oob[idx]))
 
 
 def project_exact_linear(decoder, x):
@@ -152,19 +147,38 @@ def projection_from_json(doc):
     )
 
 
-def _descend(decoder, x, cfg, z0):
-    """One descent; returns the best feasible (z, residual) seen and the
-    number of steps whose raw update left the latent ball."""
+def _start_latents(decoder, cfg, seed, label, warm_start):
+    """Initial latent of every restart, one per row. A warm start is
+    restart 0; restart i otherwise draws from derive_seed(seed, label, i)."""
+    rows = []
+    for i in range(cfg.restarts):
+        if i == 0 and warm_start is not None:
+            z = np.asarray(warm_start, dtype=float)
+        elif cfg.init == "zero":
+            z = np.zeros(decoder.latent_dim)
+        else:
+            rng = np.random.default_rng(derive_seed(seed, label, i))
+            z = rng.standard_normal(decoder.latent_dim)
+        rows.append(_clip_ball(z, decoder.latent_radius))
+    return np.array(rows)
+
+
+def _descend(decoder, cfg, z, objective):
+    """Latent descent of every row of z, (B, k), as one batch.
+
+    ``objective`` maps decoder outputs (B, p) to per-row values and their
+    gradient in output space. Returns per row the first best feasible latent
+    seen, its value, and the number of steps whose raw update left the ball.
+    """
     r = decoder.latent_radius
     each_step = cfg.ball_handling == "project_each_step"
-    z = z0
-    fz = genmodel.forward(decoder, z)
-    best_z, best_res = z.copy(), float(np.linalg.norm(fz - x))
+    fz, hidden = genmodel._forward_cached(decoder, z)
+    val, g = objective(fz)
+    seen_z, seen_val, norms = [z], [val], []
     m = np.zeros_like(z)
     v = np.zeros_like(z)
-    oob = 0
     for t in range(1, cfg.steps + 1):
-        grad = genmodel.vjp(decoder, z, fz - x)
+        grad = genmodel._vjp_cached(decoder, hidden, g)
         if cfg.optimizer == "gradient_descent":
             z = z - cfg.learning_rate * grad
         elif cfg.optimizer == "momentum":
@@ -176,21 +190,37 @@ def _descend(decoder, x, cfg, z0):
             mhat = m / (1 - cfg.adam_beta1 ** t)
             vhat = v / (1 - cfg.adam_beta2 ** t)
             z = z - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
-        if np.linalg.norm(z) > r:
-            oob += 1
-            if each_step:
-                z = _clip_ball(z, r)
-        fz = genmodel.forward(decoder, z)
+        nrm = np.sqrt(np.add.reduce(z * z, 1))
+        norms.append(nrm)
+        if each_step and (nrm > r).any():
+            z = _clip_rows(z, nrm, r)
+        fz, hidden = genmodel._forward_cached(decoder, z)
+        val, g = objective(fz)
         if each_step:
-            res = float(np.linalg.norm(fz - x))
-            if res < best_res:
-                best_z, best_res = z.copy(), res
+            seen_z.append(z)
+            seen_val.append(val)
     if not each_step:
-        z = _clip_ball(z, r)
-        res = float(np.linalg.norm(genmodel.forward(decoder, z) - x))
-        if res < best_res:
-            best_z, best_res = z.copy(), res
-    return best_z, best_res, oob
+        z = _clip_rows(z, nrm, r)  # nrm is still the norm of this z
+        val, _ = objective(genmodel._forward_cached(decoder, z)[0])
+        seen_z.append(z)
+        seen_val.append(val)
+    seen_val = np.array(seen_val)
+    first = _first_min(seen_val, axis=0)
+    rows = np.arange(len(z))
+    oob = np.sum(np.array(norms) > r, axis=0)
+    return np.array(seen_z)[first, rows], seen_val[first, rows], oob
+
+
+def _clip_rows(z, nrm, r):
+    """Rows of z with norm nrm above r scaled onto the ball; the others
+    are multiplied by exactly 1."""
+    return z * (r / np.maximum(nrm, r))[:, None]
+
+
+def _first_min(values, axis=None):
+    """Index of the first lowest value along axis. A non-finite value ranks
+    last, so it is chosen only when no value is finite."""
+    return np.argmin(np.where(np.isfinite(values), values, np.inf), axis=axis)
 
 
 def _clip_ball(z, r):

@@ -122,8 +122,7 @@ def pgd_glasso(op, y_tilde, decoder, cfg, target=None):
     error series, when a target is given, is measured against that target;
     callers following the unknown-link theory pass mu * x_star.
     """
-    step = _make_glasso_step(op, y_tilde)
-    return _pgd_loop(op, y_tilde, decoder, cfg, step,
+    return _pgd_loop(op, decoder, cfg, lambda x: grad_glasso(op, y_tilde, x),
                      lambda x: loss_glasso(op, y_tilde, x), target)
 
 
@@ -134,8 +133,8 @@ def pgd_nlasso(op, y_tilde, link, decoder, cfg, target=None):
     signal itself.
     """
     _require_differentiable(link)
-    step = _make_nlasso_step(op, y_tilde, link)
-    return _pgd_loop(op, y_tilde, decoder, cfg, step,
+    return _pgd_loop(op, decoder, cfg,
+                     lambda x: grad_nlasso(op, y_tilde, link, x),
                      lambda x: loss_nlasso(op, y_tilde, link, x), target)
 
 
@@ -148,23 +147,29 @@ def csgm_baseline(op, y_tilde, decoder, cfg, target=None, warm_start=None):
     """
     y_tilde = _check_measurements(op, y_tilde)
     pcfg = cfg.projection
-    best = None
-    for i in range(pcfg.restarts):
-        rng = np.random.default_rng(derive_seed(cfg.seed, "csgm-restart", i))
-        if i == 0 and warm_start is not None:
-            z = np.asarray(warm_start, dtype=float).copy()
-        elif pcfg.init == "zero":
-            z = np.zeros(decoder.latent_dim)
-        else:
-            z = rng.standard_normal(decoder.latent_dim)
-        z = projection._clip_ball(z, decoder.latent_radius)
-        run = _csgm_descent(op, y_tilde, decoder, pcfg, z, target)
-        if best is None or run[1] < best[1]:
-            best = run
-    z_best, _, traj = best
-    if not cfg.record_trajectory:
-        traj.iterates = None
-    return genmodel.forward(decoder, z_best), traj
+    z0 = projection._start_latents(decoder, pcfg, cfg.seed, "csgm-restart",
+                                   warm_start)
+    trajs = [Trajectory(iterates=[] if cfg.record_trajectory else None)
+             for _ in z0]
+
+    def objective(fz):
+        # the end-of-run clip of project_at_end is evaluated, not recorded
+        note = len(trajs[0].loss_values) <= pcfg.steps
+        loss = np.empty(len(fz))
+        grad = np.empty_like(fz)
+        for i, xv in enumerate(fz):
+            r = sensing.apply(op, xv) - y_tilde
+            loss[i] = float(r @ r) / (2.0 * op.n)
+            grad[i] = sensing.adjoint_apply(op, r) / op.n
+            if note:
+                _record(trajs[i], xv, float(loss[i]), target,
+                        cfg.record_trajectory)
+        return loss, grad
+
+    z, loss, _ = projection._descend(decoder, pcfg, z0, objective)
+    idx = int(projection._first_min(loss))
+    _fill_ratios(trajs[idx])
+    return genmodel.forward(decoder, z[idx]), trajs[idx]
 
 
 def mu1_of(nu, eps):
@@ -215,35 +220,18 @@ def _check_measurements(op, y):
     return y
 
 
-def _make_glasso_step(op, y_tilde):
-    def step(x, step_size):
-        return x - step_size * (
-            sensing.adjoint_apply(op, sensing.apply(op, x) - y_tilde) / op.n)
-    return step
-
-
-def _make_nlasso_step(op, y_tilde, link):
-    def step(x, step_size):
-        t = sensing.apply(op, x)
-        g = sensing.adjoint_apply(
-            op, (link_eval(link, t) - y_tilde) * link_deriv(link, t)) / op.n
-        return x - step_size * g
-    return step
-
-
-def _pgd_loop(op, y_tilde, decoder, cfg, step_fn, loss_fn, target):
-    y_tilde = _check_measurements(op, y_tilde)
+def _pgd_loop(op, decoder, cfg, grad_fn, loss_fn, target):
     x = _initial_point(decoder, cfg, op.p)
     traj = Trajectory(iterates=[] if cfg.record_trajectory else None)
-    _record(traj, x, loss_fn, target, cfg.record_trajectory)
+    _record(traj, x, loss_fn(x), target, cfg.record_trajectory)
     z_warm = None
     for t in range(cfg.iterations):
-        v = step_fn(x, cfg.step_size)
+        v = x - cfg.step_size * grad_fn(x)
         pres = projection.project(decoder, v, cfg.projection,
                                   seed=derive_seed(cfg.seed, "project", t),
                                   warm_start=z_warm)
         x, z_warm = pres.x_hat, pres.z_hat
-        _record(traj, x, loss_fn, target, cfg.record_trajectory)
+        _record(traj, x, loss_fn(x), target, cfg.record_trajectory)
     _fill_ratios(traj)
     return x, traj
 
@@ -260,8 +248,8 @@ def _initial_point(decoder, cfg, p):
     return genmodel.forward(decoder, z0)
 
 
-def _record(traj, x, loss_fn, target, keep_iterate):
-    traj.loss_values.append(loss_fn(x))
+def _record(traj, x, loss, target, keep_iterate):
+    traj.loss_values.append(loss)
     if target is not None:
         traj.error_to_target.append(float(np.linalg.norm(x - target)))
     if keep_iterate:
@@ -272,51 +260,3 @@ def _fill_ratios(traj):
     errs = traj.error_to_target
     for a, b in zip(errs[:-1], errs[1:]):
         traj.contraction_ratios.append(b / a if a > 0 else float("nan"))
-
-
-def _csgm_descent(op, y_tilde, decoder, pcfg, z0, target):
-    r = decoder.latent_radius
-    each_step = pcfg.ball_handling == "project_each_step"
-    z = z0
-    traj = Trajectory(iterates=[])
-
-    def note(xv, loss):
-        traj.loss_values.append(loss)
-        if target is not None:
-            traj.error_to_target.append(float(np.linalg.norm(xv - target)))
-        traj.iterates.append(xv)
-
-    fz = genmodel.forward(decoder, z)
-    cur = loss_glasso(op, y_tilde, fz)
-    best_z, best_loss = z.copy(), cur
-    note(fz, cur)
-    m = np.zeros_like(z)
-    v = np.zeros_like(z)
-    for t in range(1, pcfg.steps + 1):
-        grad = genmodel.vjp(
-            decoder, z, sensing.adjoint_apply(op, sensing.apply(op, fz) - y_tilde) / op.n)
-        if pcfg.optimizer == "gradient_descent":
-            z = z - pcfg.learning_rate * grad
-        elif pcfg.optimizer == "momentum":
-            m = pcfg.momentum_beta * m + grad
-            z = z - pcfg.learning_rate * m
-        else:
-            m = pcfg.adam_beta1 * m + (1 - pcfg.adam_beta1) * grad
-            v = pcfg.adam_beta2 * v + (1 - pcfg.adam_beta2) * grad * grad
-            mhat = m / (1 - pcfg.adam_beta1 ** t)
-            vhat = v / (1 - pcfg.adam_beta2 ** t)
-            z = z - pcfg.learning_rate * mhat / (np.sqrt(vhat) + pcfg.adam_eps)
-        if each_step:
-            z = projection._clip_ball(z, r)
-        fz = genmodel.forward(decoder, z)
-        cur = loss_glasso(op, y_tilde, fz)
-        if each_step and cur < best_loss:
-            best_z, best_loss = z.copy(), cur
-        note(fz, cur)
-    if not each_step:
-        z = projection._clip_ball(z, r)
-        cur = loss_glasso(op, y_tilde, genmodel.forward(decoder, z))
-        if cur < best_loss:
-            best_z, best_loss = z.copy(), cur
-    _fill_ratios(traj)
-    return best_z, best_loss, traj

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -126,6 +127,14 @@ class TestRate:
                          "--quiet"]) == 0
         assert read_tree(a) == read_tree(b)
 
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        # _threads only computes the worker count; no pool is started
+        cap = os.cpu_count() or 1
+        monkeypatch.delenv("GENPRIOR_THREADS", raising=False)
+        assert cli._threads(argparse.Namespace(threads=10**6)) == cap
+        monkeypatch.setenv("GENPRIOR_THREADS", str(10**6))
+        assert cli._threads(argparse.Namespace(threads=1)) == cap
+
 
 class TestCheck:
     def test_mvt_passes(self, capsys):
@@ -144,6 +153,13 @@ class TestCheck:
 
     def test_jle_undersampled_fails(self):
         assert cli.main(["check", "jle", "--n", "1", "--quiet"]) == 1
+
+    def test_adjoint_n_above_circulant_p_is_config_error(self, capsys):
+        # the partial circulant cases have p = 8 and p = 64
+        assert cli.main(["check", "adjoint", "--n", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: check adjoint:")
+        assert err.count("\n") == 1
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
