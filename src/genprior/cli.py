@@ -103,7 +103,7 @@ def _common_flags(sp, config_required):
 
 def cmd_solve(args):
     cfg = _load_config(args.config)
-    setup, n, master, out_dir = _build_setup(cfg, args, record_trajectory=True)
+    setup, n, master, out_dir = _build_setup(cfg, args)
     result = analysis.solve_instance(setup, n, derive_seed(master, "solve"))
     metrics = {
         "n": n,
@@ -133,7 +133,7 @@ def cmd_solve(args):
 
 def cmd_rate(args):
     cfg = _load_config(args.config)
-    setup, _, master, out_dir = _build_setup(cfg, args, record_trajectory=False)
+    setup, _, master, out_dir = _build_setup(cfg, args)
     exp = cfg.get("experiment", {})
     grid = exp.get("grid")
     trials = exp.get("trials", 30)
@@ -272,13 +272,10 @@ def cmd_model_new(args):
 
 
 def cmd_model_info(args):
+    doc = _load_config(args.path)
     try:
-        with open(args.path) as fh:
-            doc = json.load(fh)
         dec = genmodel.decoder_from_json(doc)
-    except FileNotFoundError as e:
-        raise ConfigError(str(e)) from e
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"{args.path}: {e}") from e
     print(f"family={dec.family} k={dec.latent_dim} p={dec.ambient_dim} "
           f"r={dec.latent_radius} activation={dec.activation} "
@@ -289,14 +286,18 @@ def cmd_model_info(args):
 # ---------------------------------------------------------------- config
 
 def _load_config(path):
+    """The JSON object in the file at path."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError as e:
         raise ConfigError(str(e)) from e
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object")
+    return doc
 
 
 def _require(cfg, key, path):
@@ -305,7 +306,7 @@ def _require(cfg, key, path):
     return cfg[key]
 
 
-def _build_setup(cfg, args, record_trajectory):
+def _build_setup(cfg, args):
     master = args.seed if args.seed is not None else cfg.get("master_seed", 0)
     out_dir = args.out or cfg.get("out_dir", "genprior-out")
 
@@ -325,7 +326,7 @@ def _build_setup(cfg, args, record_trajectory):
     if kind not in sensing.KINDS:
         raise ConfigError(f"sensing.kind: unknown kind {kind!r}")
     n = _require(sense_cfg, "n", "sensing")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigError("sensing.n must be a positive integer")
     if kind == "partial_circulant" and n > decoder.ambient_dim:
         raise ConfigError("sensing.n must be <= decoder p for partial_circulant")
@@ -346,16 +347,17 @@ def _build_setup(cfg, args, record_trajectory):
             iterations=solver_cfg.get("iterations", solvers.ITERATIONS_DEFAULT),
             projection=proj,
             x0_mode=solver_cfg.get("x0_mode", "zero"),
-            record_trajectory=record_trajectory,
             seed=0)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"solver: {e}") from e
 
     exp = cfg.get("experiment", {})
+    observation = exp.get("observation", "auto")
+    if observation not in ("sim", "known", "auto"):
+        raise ConfigError(f"experiment.observation: unknown mode {observation!r}")
     setup = analysis.TrialSetup(
         decoder=decoder, link=link, solver_kind=solver_kind,
-        solver_cfg=scfg, sensing_kind=kind,
-        observation=exp.get("observation", "auto"),
+        solver_cfg=scfg, sensing_kind=kind, observation=observation,
         delta=exp.get("delta", 1e-3))
     return setup, n, master, out_dir
 
@@ -372,7 +374,7 @@ def _build_link(link_cfg):
         if kind == "sign_dithered":
             return measurement.sign_dithered_link(
                 sigma_d=link_cfg.get("sigma_d", 0.0), tau=tau)
-    except ValueError as e:
+    except (ValueError, TypeError) as e:
         raise ConfigError(f"link: {e}") from e
     raise ConfigError(f"link.kind: unknown kind {kind!r} "
                       "(custom links are library-only)")

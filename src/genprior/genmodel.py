@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import derive_seed
+from .sensing import _power_norm
 
 __all__ = [
     "GenerativeDecoder",
@@ -137,13 +138,7 @@ def forward(decoder, z):
     z = np.asarray(z, dtype=float)
     if z.shape != (decoder.latent_dim,):
         raise ValueError(f"latent vector must have length {decoder.latent_dim}")
-    h = z
-    last = len(decoder.layers) - 1
-    for i, (w, b) in enumerate(decoder.layers):
-        h = w @ h + b
-        if i < last:
-            h = _act(decoder.activation, h)
-    return h
+    return _forward_cached(decoder, z)[0]
 
 
 def out_of_ball(decoder, z):
@@ -162,25 +157,11 @@ def vjp(decoder, z, v):
         raise ValueError(f"latent vector must have length {decoder.latent_dim}")
     if v.shape != (decoder.ambient_dim,):
         raise ValueError(f"ambient vector must have length {decoder.ambient_dim}")
-    h = z
-    pre = []
-    last = len(decoder.layers) - 1
-    for i, (w, b) in enumerate(decoder.layers):
-        h = w @ h + b
-        if i < last:
-            pre.append(h)
-            h = _act(decoder.activation, h)
-    g = v
-    for i in range(last, -1, -1):
-        w, _ = decoder.layers[i]
-        g = w.T @ g
-        if i > 0:
-            g = g * _act_deriv(decoder.activation, pre[i - 1])
-    return g
+    return _vjp_cached(decoder, _forward_cached(decoder, z)[1], v)
 
 
 def _forward_cached(decoder, z):
-    """Outputs for the rows of z, (B, k), and the hidden activations."""
+    """Outputs for the rows of z, (B, k) or (k,), and the hidden activations."""
     hidden = []
     h = z
     last = len(decoder.layers) - 1
@@ -259,38 +240,11 @@ def _act(name, x):
     return x
 
 
-def _act_deriv(name, pre):
-    if name == "tanh":
-        t = np.tanh(pre)
-        return 1.0 - t * t
-    if name == "relu":
-        return (pre > 0).astype(float)
-    return np.ones_like(pre)
-
-
 def _lipschitz_product(decoder):
     # tanh/relu/identity are 1-Lipschitz, so the product of per-layer
     # spectral norms is a valid upper bound.
     prod = 1.0
     for i, (w, _) in enumerate(decoder.layers):
-        prod *= _spectral_norm(w, seed=derive_seed(decoder.seed, "lipschitz", i))
+        prod *= _power_norm(lambda v, w=w: w @ v, lambda u, w=w: w.T @ u,
+                            w.shape[1], derive_seed(decoder.seed, "lipschitz", i))
     return prod
-
-
-def _spectral_norm(w, seed, tol=1e-8, max_iter=10_000):
-    """Top singular value by power iteration on W^T W."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(w.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        u = w @ v
-        sigma_new = np.linalg.norm(u)
-        if sigma_new == 0.0:
-            return 0.0
-        v = w.T @ u
-        v /= np.linalg.norm(v)
-        if abs(sigma_new - sigma) <= tol * sigma_new:
-            return float(np.linalg.norm(w @ v))
-        sigma = sigma_new
-    return float(sigma)

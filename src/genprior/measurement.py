@@ -3,8 +3,7 @@
 Covers the unknown-link path (y_i = f_i(a_i^T x*), possibly randomized f, unit
 norm x*) and the known-link path (y_i = f(a_i^T x*) + eta_i with monotone
 differentiable f). Each link carries its derivative bounds when applicable,
-its gain mu = E[f(g) g] for standard normal g, and a cached sub-Gaussian-norm
-estimate psi of f(g).
+and its gain mu = E[f(g) g] for standard normal g.
 """
 
 from __future__ import annotations
@@ -31,16 +30,12 @@ __all__ = [
     "observe_known",
     "corrupt",
     "mu_of_link",
-    "mu_mc_estimate",
     "psi_estimate",
     "observation_to_csv",
 ]
 
 QUAD_NODES = 200          # Gauss-Hermite nodes for deterministic links
-MU_MC_SAMPLES = 1_000_000  # Monte Carlo budget for randomized links
 PSI_DEFAULT_SAMPLES = 10_000
-_MU_MC_SEED = derive_seed(0, "mu-of-link-mc")
-_PSI_SEED = derive_seed(0, "psi-cache")
 
 
 @dataclass(frozen=True)
@@ -52,8 +47,6 @@ class LinkModel:
     sigma_d: float = 0.0            # dither std for the sign link
     tau: float = 0.0                # adversarial corruption budget
     mu: float = float("nan")
-    mu_stderr: float = 0.0
-    psi: float = float("nan")
     f: object = None                # callables for the custom kind
     fprime: object = None
 
@@ -94,8 +87,6 @@ def sign_dithered_link(sigma_d, tau=0.0):
     Outputs are in {-1, +1} (ties at zero map to +1). Not differentiable, so
     only the unknown-link solver applies.
     """
-    if sigma_d < 0:
-        raise ValueError("dither std must be nonnegative")
     return _finish(LinkModel("sign_dithered", sigma_d=float(sigma_d), tau=tau))
 
 
@@ -211,24 +202,15 @@ def corrupt(y, tau, seed):
 def mu_of_link(link):
     """Link gain mu = E[f(g) g] for g ~ N(0, 1).
 
-    Deterministic kinds integrate by Gauss-Hermite quadrature; the randomized
-    sign kind is estimated by Monte Carlo with a fixed internal seed (standard
-    error available via mu_mc_estimate).
+    Deterministic kinds integrate by Gauss-Hermite quadrature. The dithered
+    sign link has the closed form sqrt(2/pi) / sqrt(1 + sigma_d^2) (Plan and
+    Vershynin, The Generalized Lasso With Non-Linear Observations, 2016).
     """
     if link.kind == "sign_dithered":
-        est, _ = mu_mc_estimate(link, MU_MC_SAMPLES, _MU_MC_SEED)
-        return est
+        return float(np.sqrt(2.0 / np.pi) / np.sqrt(1.0 + link.sigma_d ** 2))
     nodes, weights = np.polynomial.hermite_e.hermegauss(QUAD_NODES)
     vals = link_eval(link, nodes) * nodes
     return float(weights @ vals / np.sqrt(2.0 * np.pi))
-
-
-def mu_mc_estimate(link, samples, seed):
-    """Monte Carlo estimate of E[f(g) g] with its standard error."""
-    g = np.random.default_rng(derive_seed(seed, "g")).standard_normal(samples)
-    y = link_eval(link, g, seed=derive_seed(seed, "e"))
-    vals = y * g
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
 
 
 def psi_estimate(link, samples=PSI_DEFAULT_SAMPLES, seed=0):
@@ -255,10 +237,8 @@ def observation_to_csv(obs, path):
 
 
 def _finish(link):
-    """Fill the cached mu / psi fields of a freshly built link."""
-    if link.kind == "sign_dithered":
-        mu, stderr = mu_mc_estimate(link, MU_MC_SAMPLES, _MU_MC_SEED)
-    else:
-        mu, stderr = mu_of_link(link), 0.0
-    psi = psi_estimate(link, PSI_DEFAULT_SAMPLES, _PSI_SEED)
-    return replace(link, mu=mu, mu_stderr=stderr, psi=psi)
+    """Validate the noise parameters of a freshly built link and fill mu."""
+    for name in ("sigma", "sigma_d", "tau"):
+        if not getattr(link, name) >= 0:
+            raise ValueError(f"{name} must be nonnegative")
+    return replace(link, mu=mu_of_link(link))

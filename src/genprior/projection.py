@@ -19,8 +19,6 @@ from .seeding import derive_seed
 __all__ = [
     "ProjectionConfig",
     "ProjectionResult",
-    "default_projection_config",
-    "celeba_scale_projection_config",
     "project",
     "project_exact_linear",
     "projection_to_json",
@@ -60,16 +58,6 @@ class ProjectionConfig:
             raise ValueError(f"unknown init {self.init!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-
-
-def default_projection_config(restarts=1):
-    """Adam with 200 steps at rate 0.03 (small-decoder setting)."""
-    return ProjectionConfig(steps=200, learning_rate=0.03, restarts=restarts)
-
-
-def celeba_scale_projection_config(restarts=1):
-    """Adam with 100 steps at rate 0.1 (large-decoder setting)."""
-    return ProjectionConfig(steps=100, learning_rate=0.1, restarts=restarts)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ __all__ = [
     "adjoint_apply",
     "materialize",
     "spectral_norm_estimate",
-    "row",
     "sensing_to_json",
     "sensing_from_json",
 ]
@@ -107,28 +106,28 @@ def materialize(op):
     return cols
 
 
-def row(op, i):
-    """Sensing vector a_i, i.e. row i of A."""
-    e = np.zeros(op.n)
-    e[i] = 1.0
-    return adjoint_apply(op, e)
-
-
 def spectral_norm_estimate(op, tol=1e-8, max_iter=10_000):
     """||A|| by power iteration on A^T A."""
-    rng = np.random.default_rng(derive_seed(op.seed, "specnorm"))
-    v = rng.standard_normal(op.p)
+    return _power_norm(lambda v: apply(op, v), lambda u: adjoint_apply(op, u),
+                       op.p, derive_seed(op.seed, "specnorm"), tol, max_iter)
+
+
+def _power_norm(matvec, rmatvec, dim, seed, tol=1e-8, max_iter=10_000):
+    """Top singular value of the map v -> matvec(v), whose adjoint is rmatvec,
+    by power iteration on its normal operator from a Gaussian start."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(max_iter):
-        u = apply(op, v)
+        u = matvec(v)
         sigma_new = np.linalg.norm(u)
         if sigma_new == 0.0:
             return 0.0
-        v = adjoint_apply(op, u)
+        v = rmatvec(u)
         v /= np.linalg.norm(v)
         if abs(sigma_new - sigma) <= tol * sigma_new:
-            return float(np.linalg.norm(apply(op, v)))
+            return float(np.linalg.norm(matvec(v)))
         sigma = sigma_new
     return float(sigma)
 

@@ -22,8 +22,6 @@ from .seeding import derive_seed
 __all__ = [
     "SolverConfig",
     "Trajectory",
-    "default_glasso_config",
-    "default_nlasso_config",
     "loss_glasso",
     "grad_glasso",
     "loss_nlasso",
@@ -67,14 +65,6 @@ class SolverConfig:
             raise ValueError(f"unknown x0 mode {self.x0_mode!r}")
         if self.x0_mode == "given" and self.x0 is None:
             raise ValueError("x0_mode 'given' requires x0")
-
-
-def default_glasso_config(seed=0, **kw):
-    return SolverConfig(step_size=NU_DEFAULT, seed=seed, **kw)
-
-
-def default_nlasso_config(seed=0, **kw):
-    return SolverConfig(step_size=ZETA_DEFAULT, seed=seed, **kw)
 
 
 @dataclass

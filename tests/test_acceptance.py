@@ -18,6 +18,7 @@ from genprior import analysis, cli, genmodel, measurement, sensing, solvers
 from genprior.projection import ProjectionConfig
 from genprior.seeding import derive_seed
 from genprior.solvers import SolverConfig
+from oracles import MU_MC_SEED, mu_mc_estimate
 
 
 def criterion(num, desc):
@@ -218,14 +219,16 @@ def test_criterion_7_concentration_checks():
     assert rep_cos.violations == 0 and rep_cos.worst_margin >= 0.0
 
 
-@criterion(8, "link gain values (quadrature and Monte Carlo)")
+@criterion(8, "link gain values (quadrature, closed form and Monte Carlo)")
 def test_criterion_8_link_gains():
     assert abs(measurement.mu_of_link(measurement.linear_link()) - 1.0) <= 1e-12
     assert abs(measurement.mu_of_link(measurement.shifted_cosine_link())
                - 2.0) <= 1e-8
     link = measurement.sign_dithered_link(0.1)
     closed_form = math.sqrt(2.0 / (math.pi * (1.0 + 0.1 ** 2)))
-    assert abs(link.mu - closed_form) <= 3 * link.mu_stderr
+    assert abs(link.mu - closed_form) <= 1e-12
+    mc, stderr = mu_mc_estimate(link, 1_000_000, MU_MC_SEED)
+    assert abs(mc - closed_form) <= 3 * stderr
 
 
 @criterion(9, "one-bit path: median cosine >= 0.9 at n=400")

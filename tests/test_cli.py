@@ -193,6 +193,13 @@ class TestModel:
     def test_info_on_missing_file(self, capsys):
         assert cli.main(["model", "info", "/nonexistent/decoder.json"]) == 2
 
+    def test_info_on_mistyped_field(self, tmp_path, capsys):
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps({"family": "mlp", "k": "a", "p": 8,
+                                    "r": 1.0, "seed": 0}))
+        assert cli.main(["model", "info", str(path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
@@ -224,6 +231,43 @@ class TestConfigErrors:
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, sensing={"kind": "dense_gaussian", "n": 0})
         assert cli.main(["solve", "--config", str(cfg_path), "--quiet"]) == 2
+
+    @staticmethod
+    def _rejected(tmp_path, capsys, **overrides):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **overrides)
+        out = tmp_path / "out"
+        code = cli.main(["solve", "--config", str(cfg_path), "--out", str(out),
+                         "--quiet"])
+        err = capsys.readouterr().err
+        assert not out.exists()
+        return code, err
+
+    @pytest.mark.parametrize("kind, field", [
+        ("linear", "sigma"), ("linear", "tau"), ("sign_dithered", "sigma_d")])
+    def test_negative_link_noise(self, tmp_path, capsys, kind, field):
+        code, err = self._rejected(tmp_path, capsys,
+                                   link={"kind": kind, field: -0.1})
+        assert code == 2
+        assert err == f"config error: link: {field} must be nonnegative\n"
+
+    def test_boolean_sensing_n(self, tmp_path, capsys):
+        code, err = self._rejected(tmp_path, capsys,
+                                   sensing={"kind": "dense_gaussian", "n": True})
+        assert code == 2 and err.count("\n") == 1
+
+    def test_unknown_observation_mode(self, tmp_path, capsys):
+        code, err = self._rejected(tmp_path, capsys,
+                                   experiment={"observation": "bogus"})
+        assert code == 2
+        assert err.startswith("config error: experiment.observation:")
+        assert err.count("\n") == 1
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        assert cli.main(["solve", "--config", str(cfg_path), "--quiet"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestEntryPoint:

@@ -5,6 +5,7 @@ import pytest
 
 from genprior import measurement, sensing
 from genprior.errors import UnsupportedOperationError
+from oracles import mu_mc_estimate
 
 
 def sign_link_gain_closed_form(sigma_d):
@@ -86,13 +87,35 @@ class TestMu:
     def test_sign_gain_matches_closed_form(self):
         link = measurement.sign_dithered_link(0.1)
         expected = sign_link_gain_closed_form(0.1)
-        assert abs(link.mu - expected) <= 3 * link.mu_stderr
+        assert abs(link.mu - expected) <= 1e-12
         assert abs(link.mu - 0.7939) <= 0.003
+
+    @pytest.mark.parametrize("sigma_d", [0.0, 0.5, 2.0])
+    def test_sign_gain_matches_monte_carlo(self, sigma_d):
+        link = measurement.sign_dithered_link(sigma_d)
+        mu, stderr = mu_mc_estimate(link, 200_000, 6)
+        assert abs(link.mu - mu) <= 4 * stderr
 
     def test_mc_estimator_self_consistency(self):
         link = measurement.linear_link()
-        mu, stderr = measurement.mu_mc_estimate(link, 200_000, 5)
+        mu, stderr = mu_mc_estimate(link, 200_000, 5)
         assert abs(mu - 1.0) <= 4 * stderr
+
+
+class TestLinkValidation:
+    @pytest.mark.parametrize("build", [
+        lambda: measurement.linear_link(sigma=-0.1),
+        lambda: measurement.shifted_cosine_link(tau=-0.1),
+        lambda: measurement.sign_dithered_link(-0.1),
+        lambda: measurement.sign_dithered_link(0.1, tau=-0.1),
+        lambda: measurement.linear_link(sigma=float("nan")),
+        lambda: measurement.custom_monotone_link(
+            lambda t: t, lambda t: 1.0, 1.0, 1.0, sigma=-1.0),
+    ], ids=["linear-sigma", "cosine-tau", "sign-sigma_d", "sign-tau",
+            "linear-nan-sigma", "custom-sigma"])
+    def test_negative_noise_parameters_rejected(self, build):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            build()
 
 
 class TestPsi:

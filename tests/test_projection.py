@@ -42,7 +42,7 @@ class TestProject:
         dec = genmodel.decoder_new(4, 3, [10], 20, 2.0, "tanh", 1.0)
         z0 = genmodel.sample_latent(dec, 7)
         x = genmodel.forward(dec, z0)
-        res = projection.project(dec, x, projection.default_projection_config(),
+        res = projection.project(dec, x, ProjectionConfig(),
                                  seed=1, warm_start=z0)
         assert res.residual <= 1e-9
 
@@ -62,7 +62,7 @@ class TestProject:
     def test_matches_exact_linear_oracle_residual(self):
         dec = genmodel.orthonormal_linear_decoder(3, 4, 24, 1.5)
         rng = np.random.default_rng(5)
-        cfg = projection.default_projection_config(restarts=2)
+        cfg = ProjectionConfig(restarts=2)
         for _ in range(20):
             x = self._interior_instance(dec, rng)
             it = projection.project(dec, x, cfg, seed=9)
@@ -137,7 +137,7 @@ class TestProject:
         dec = genmodel.decoder_new(0, 2, [], 4, 1.0)
         with pytest.raises(ValueError):
             projection.project(dec, np.zeros(3),
-                               projection.default_projection_config(), 0)
+                               ProjectionConfig(), 0)
 
     def test_optimizer_variants_run(self):
         dec = genmodel.decoder_new(2, 2, [6], 8, 1.0, "tanh", 1.0)
@@ -184,12 +184,6 @@ class TestProjectExactLinear:
 
 
 class TestConfig:
-    def test_presets(self):
-        small = projection.default_projection_config()
-        assert (small.steps, small.learning_rate) == (200, 0.03)
-        big = projection.celeba_scale_projection_config()
-        assert (big.steps, big.learning_rate) == (100, 0.1)
-
     def test_json_round_trip(self):
         cfg = ProjectionConfig(steps=77, learning_rate=0.5, restarts=3,
                                optimizer="momentum",

@@ -145,7 +145,7 @@ class TestRowIsotropy:
         count = 10_000
         for seed in range(count):
             op = sensing.sensing_new("partial_circulant", 1, p, seed)
-            a = sensing.row(op, 0)
+            a = sensing.adjoint_apply(op, np.array([1.0]))  # row 0 of A
             acc += np.outer(a, a)
         acc /= count
         assert np.max(np.abs(acc - np.eye(p))) <= 0.1

