@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ __all__ = [
     "plant_unit_signal",
     "SolveResult",
     "solve_instance",
-    "run_trial",
+    "run_trials",
     "rate_experiment",
     "report_to_json",
     "rate_table_to_csv",
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 WNU_SLACK = 0.05  # finite-sample allowance on the inner-product bound
+OPERATOR_BUDGET = 2 ** 19  # dense operator cells (4 MiB) of one trial group
 
 
 @dataclass(frozen=True)
@@ -331,6 +333,14 @@ class TrialSetup:
             return self.observation
         return "known" if self.solver_kind == "pgd_nlasso" else "sim"
 
+    def matched(self):
+        """Whether the solver's theory target is defined for the observation
+        model: the signal for pgd_nlasso on known-link data, the
+        gain-scaled signal for the unknown-link solvers on sim data."""
+        mode = self.resolved_observation()
+        return ((mode == "known" and self.solver_kind == "pgd_nlasso")
+                or (mode == "sim" and self.solver_kind in ("pgd_glasso", "csgm")))
+
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -362,6 +372,48 @@ def solve_instance(setup, n, seed):
     For mismatched solver/observation combinations the l2 error is undefined
     (nan) and only the cosine metric is meaningful.
     """
+    return _solve_seeds(setup, n, [seed])[0]
+
+
+def run_trials(setup, n, seeds):
+    """TrialRecords of independent instance draws at n, one per seed.
+
+    The trials are solved in lockstep as one group; each record matches the
+    record of its own ``solve_instance`` to round-off.
+    """
+    return [res.record for res in _solve_seeds(setup, n, seeds)]
+
+
+class _Instance(NamedTuple):
+    op: object
+    obs: object
+    x_star: np.ndarray
+    z_star: np.ndarray
+    target: np.ndarray
+
+
+def _solve_seeds(setup, n, seeds):
+    """SolveResults of the instances drawn from seeds, solved as one group."""
+    matched = setup.matched()
+    draws = [_draw_instance(setup, n, seed) for seed in seeds]
+    solved = solvers._solve_group(
+        setup.solver_kind, [d.op for d in draws],
+        [d.obs.y_tilde for d in draws], setup.link, setup.decoder,
+        setup.solver_cfg, [derive_seed(seed, "solver") for seed in seeds],
+        [d.target if matched else None for d in draws])
+    results = []
+    for seed, d, (x_hat, traj) in zip(seeds, draws, solved):
+        error = (float(np.linalg.norm(x_hat - d.target)) if matched
+                 else float("nan"))
+        cos = (cosine_similarity(d.x_star, x_hat)
+               if np.linalg.norm(x_hat) > 0 else float("nan"))
+        rec = TrialRecord(int(n), int(seed), error, cos, traj.loss_values[-1])
+        results.append(SolveResult(*d, matched, x_hat, traj, rec))
+    return results
+
+
+def _draw_instance(setup, n, seed):
+    """The operator, observations, signal and error target of one seed."""
     decoder = setup.decoder
     link = setup.link
     op = sensing.sensing_new(setup.sensing_kind, n, decoder.ambient_dim,
@@ -371,36 +423,14 @@ def solve_instance(setup, n, seed):
         x_star, z_star = plant_unit_signal(decoder, derive_seed(seed, "signal"))
         obs = observe_sim(link, op, x_star, derive_seed(seed, "observe"))
         target = link.mu * x_star
-        matched = setup.solver_kind in ("pgd_glasso", "csgm")
     elif mode == "known":
         z_star = genmodel.sample_latent(decoder, derive_seed(seed, "signal"))
         x_star = genmodel.forward(decoder, z_star)
         obs = observe_known(link, op, x_star, derive_seed(seed, "observe"))
         target = x_star
-        matched = setup.solver_kind == "pgd_nlasso"
     else:
         raise ValueError(f"unknown observation mode {mode!r}")
-    cfg = replace(setup.solver_cfg, seed=derive_seed(seed, "solver"))
-    tgt = target if matched else None
-    if setup.solver_kind == "pgd_glasso":
-        x_hat, traj = solvers.pgd_glasso(op, obs.y_tilde, decoder, cfg, tgt)
-    elif setup.solver_kind == "pgd_nlasso":
-        x_hat, traj = solvers.pgd_nlasso(op, obs.y_tilde, link, decoder, cfg, tgt)
-    elif setup.solver_kind == "csgm":
-        x_hat, traj = solvers.csgm_baseline(op, obs.y_tilde, decoder, cfg, tgt)
-    else:
-        raise ValueError(f"unknown solver kind {setup.solver_kind!r}")
-    error = float(np.linalg.norm(x_hat - target)) if matched else float("nan")
-    cos = (cosine_similarity(x_star, x_hat)
-           if np.linalg.norm(x_hat) > 0 else float("nan"))
-    rec = TrialRecord(int(n), int(seed), error, cos, traj.loss_values[-1])
-    return SolveResult(op, obs, x_star, z_star, target, matched, x_hat,
-                       traj, rec)
-
-
-def run_trial(setup, n, seed):
-    """TrialRecord of one independent instance draw and solve."""
-    return solve_instance(setup, n, seed).record
+    return _Instance(op, obs, x_star, z_star, target)
 
 
 @dataclass(frozen=True)
@@ -430,8 +460,11 @@ def rate_experiment(grid, trials, setup, seed, threads=1, n_cap=100_000):
     """Median recovery error across a grid of measurement counts.
 
     Each grid point runs ``trials`` independent draws; medians are fitted
-    against c * sqrt(k log(L r / delta) / n) by least squares. Aggregation
-    folds trials in seed order, so the output is independent of scheduling.
+    against c * sqrt(k log(L r / delta) / n) by least squares. The trials of
+    a grid point run in lockstep groups of consecutive seeds (see
+    ``_split_trials``), and workers take whole groups. The split does not
+    depend on ``threads`` and aggregation folds trials in seed order, so the
+    output is independent of scheduling.
     """
     grid = sorted(int(n) for n in set(grid))
     if len(grid) < 1:
@@ -440,20 +473,22 @@ def rate_experiment(grid, trials, setup, seed, threads=1, n_cap=100_000):
         raise ValueError("need at least 10 trials per grid point")
     if max(grid) > n_cap:
         raise ValueError("grid exceeds the size cap")
-    mode = setup.resolved_observation()
-    matched = ((mode == "known" and setup.solver_kind == "pgd_nlasso")
-               or (mode == "sim" and setup.solver_kind in ("pgd_glasso", "csgm")))
-    if not matched:
+    if not setup.matched():
         raise ValueError("rate experiment needs a solver matching the "
                          "observation model so the error target is defined")
-    jobs = [(setup, n, derive_seed(seed, f"rate-n{n}", i))
-            for n in grid for i in range(trials)]
+    decoder = setup.decoder
+    jobs = []
+    for n in grid:
+        dense = setup.sensing_kind == "dense_gaussian"
+        cells = n * decoder.ambient_dim if dense else 0
+        seeds = [derive_seed(seed, f"rate-n{n}", i) for i in range(trials)]
+        jobs += [(setup, n, group) for group in _split_trials(seeds, cells)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            records = list(ex.map(_run_trial_star, jobs, chunksize=1))
+            groups = list(ex.map(_run_trials_star, jobs, chunksize=1))
     else:
-        records = [_run_trial_star(j) for j in jobs]
-    decoder = setup.decoder
+        groups = [_run_trials_star(j) for j in jobs]
+    records = [rec for group in groups for rec in group]
     lip = genmodel.lipschitz_bound(decoder)
     scale = math.sqrt(decoder.latent_dim
                       * math.log(lip * decoder.latent_radius / setup.delta))
@@ -474,9 +509,19 @@ def rate_experiment(grid, trials, setup, seed, threads=1, n_cap=100_000):
                      setup.link.kind, setup.solver_kind)
 
 
-def _run_trial_star(job):
-    setup, n, seed = job
-    return run_trial(setup, n, seed)
+def _split_trials(seeds, cells):
+    """Consecutive groups of near-equal size, in seed order, each holding at
+    most OPERATOR_BUDGET dense operator cells (``cells`` per trial; 0 for an
+    operator of size O(p), whose seeds form one group)."""
+    per_group = max(1, OPERATOR_BUDGET // cells) if cells else len(seeds)
+    count = -(-len(seeds) // per_group)
+    size, extra = divmod(len(seeds), count)
+    bounds = np.cumsum([0] + [size + (i < extra) for i in range(count)])
+    return [seeds[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _run_trials_star(job):
+    return run_trials(*job)
 
 
 def report_to_json(report):

@@ -306,11 +306,23 @@ def _require(cfg, key, path):
     return cfg[key]
 
 
+def _section(cfg, key, path="config", required=True):
+    """The JSON object at cfg[key]; an absent optional section is {}."""
+    if not required and key not in cfg:
+        return {}
+    doc = _require(cfg, key, path)
+    if not isinstance(doc, dict):
+        name = key if path == "config" else f"{path}.{key}"
+        raise ConfigError(f"{name}: expected a JSON object, "
+                          f"got {type(doc).__name__}")
+    return doc
+
+
 def _build_setup(cfg, args):
     master = args.seed if args.seed is not None else cfg.get("master_seed", 0)
     out_dir = args.out or cfg.get("out_dir", "genprior-out")
 
-    dec_cfg = _require(cfg, "decoder", "config")
+    dec_cfg = _section(cfg, "decoder")
     try:
         dec_doc = dict(dec_cfg)
         dec_doc.setdefault("seed", derive_seed(master, "decoder"))
@@ -318,10 +330,9 @@ def _build_setup(cfg, args):
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"decoder: {e}") from e
 
-    link_cfg = _require(cfg, "link", "config")
-    link = _build_link(link_cfg)
+    link = _build_link(_section(cfg, "link"))
 
-    sense_cfg = _require(cfg, "sensing", "config")
+    sense_cfg = _section(cfg, "sensing")
     kind = sense_cfg.get("kind", "dense_gaussian")
     if kind not in sensing.KINDS:
         raise ConfigError(f"sensing.kind: unknown kind {kind!r}")
@@ -331,7 +342,7 @@ def _build_setup(cfg, args):
     if kind == "partial_circulant" and n > decoder.ambient_dim:
         raise ConfigError("sensing.n must be <= decoder p for partial_circulant")
 
-    solver_cfg = _require(cfg, "solver", "config")
+    solver_cfg = _section(cfg, "solver")
     solver_kind = _require(solver_cfg, "kind", "solver")
     if solver_kind not in ("pgd_glasso", "pgd_nlasso", "csgm"):
         raise ConfigError(f"solver.kind: unknown kind {solver_kind!r}")
@@ -339,7 +350,8 @@ def _build_setup(cfg, args):
         raise UnsupportedOperationError(
             "pgd_nlasso needs a differentiable link")
     try:
-        proj = projection.projection_from_json(solver_cfg.get("projection", {}))
+        proj = projection.projection_from_json(
+            _section(solver_cfg, "projection", "solver", required=False))
         default_step = (solvers.ZETA_DEFAULT if solver_kind == "pgd_nlasso"
                         else solvers.NU_DEFAULT)
         scfg = solvers.SolverConfig(
@@ -351,7 +363,7 @@ def _build_setup(cfg, args):
     except (ValueError, TypeError) as e:
         raise ConfigError(f"solver: {e}") from e
 
-    exp = cfg.get("experiment", {})
+    exp = _section(cfg, "experiment", required=False)
     observation = exp.get("observation", "auto")
     if observation not in ("sim", "known", "auto"):
         raise ConfigError(f"experiment.observation: unknown mode {observation!r}")

@@ -79,19 +79,31 @@ def project(decoder, x, cfg, seed, warm_start=None):
     x = np.asarray(x, dtype=float)
     if x.shape != (decoder.ambient_dim,):
         raise ValueError(f"expected ambient vector of length {decoder.ambient_dim}")
+    return _project_rows(decoder, x[None], cfg, [seed], [warm_start])[0]
+
+
+def _project_rows(decoder, x, cfg, seeds, warm_starts):
+    """``project`` of every row of x, (T, p), each with its own seed and
+    warm start. The T * cfg.restarts descents advance as one batch, and
+    each target keeps the best of its own restarts."""
     if cfg.method == "exact_linear":
-        return project_exact_linear(decoder, x)
+        return [project_exact_linear(decoder, xt) for xt in x]
+    rows = x[_owners(len(x), cfg.restarts)]
 
     def objective(fz):
-        d = fz - x
+        d = fz - rows
         return 0.5 * np.add.reduce(d * d, 1), d
 
-    z0 = _start_latents(decoder, cfg, seed, "restart", warm_start)
+    z0 = np.concatenate([_start_latents(decoder, cfg, s, "restart", w)
+                         for s, w in zip(seeds, warm_starts)])
     z, res, oob = _descend(decoder, cfg, z0, objective)
-    idx = int(_first_min(res))
-    x_hat = genmodel.forward(decoder, z[idx])
-    return ProjectionResult(z[idx], x_hat, float(np.linalg.norm(x_hat - x)),
-                            idx, int(oob[idx]))
+    out = []
+    for t, i in enumerate(_best_rows(res, cfg.restarts)):
+        x_hat = genmodel.forward(decoder, z[i])
+        out.append(ProjectionResult(z[i], x_hat,
+                                    float(np.linalg.norm(x_hat - x[t])),
+                                    int(i - t * cfg.restarts), int(oob[i])))
+    return out
 
 
 def project_exact_linear(decoder, x):
@@ -197,6 +209,17 @@ def _descend(decoder, cfg, z, objective):
     rows = np.arange(len(z))
     oob = np.sum(np.array(norms) > r, axis=0)
     return np.array(seen_z)[first, rows], seen_val[first, rows], oob
+
+
+def _owners(targets, restarts):
+    """Target of every descent row: restarts consecutive rows per target."""
+    return np.repeat(np.arange(targets), restarts)
+
+
+def _best_rows(values, restarts):
+    """Row of the first lowest value within each target's restarts."""
+    values = np.asarray(values).reshape(-1, restarts)
+    return np.arange(len(values)) * restarts + _first_min(values, axis=1)
 
 
 def _clip_rows(z, nrm, r):

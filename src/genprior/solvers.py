@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -112,8 +113,8 @@ def pgd_glasso(op, y_tilde, decoder, cfg, target=None):
     error series, when a target is given, is measured against that target;
     callers following the unknown-link theory pass mu * x_star.
     """
-    return _pgd_loop(op, decoder, cfg, lambda x: grad_glasso(op, y_tilde, x),
-                     lambda x: loss_glasso(op, y_tilde, x), target)
+    return _solve_group("pgd_glasso", [op], [y_tilde], None, decoder, cfg,
+                        [cfg.seed], [target])[0]
 
 
 def pgd_nlasso(op, y_tilde, link, decoder, cfg, target=None):
@@ -122,10 +123,8 @@ def pgd_nlasso(op, y_tilde, link, decoder, cfg, target=None):
     Requires a differentiable link; the error target, when given, is the
     signal itself.
     """
-    _require_differentiable(link)
-    return _pgd_loop(op, decoder, cfg,
-                     lambda x: grad_nlasso(op, y_tilde, link, x),
-                     lambda x: loss_nlasso(op, y_tilde, link, x), target)
+    return _solve_group("pgd_nlasso", [op], [y_tilde], link, decoder, cfg,
+                        [cfg.seed], [target])[0]
 
 
 def csgm_baseline(op, y_tilde, decoder, cfg, target=None, warm_start=None):
@@ -135,31 +134,8 @@ def csgm_baseline(op, y_tilde, decoder, cfg, target=None, warm_start=None):
     warm start, when given, runs as restart 0. Returns the decoded best
     latent across restarts.
     """
-    y_tilde = _check_measurements(op, y_tilde)
-    pcfg = cfg.projection
-    z0 = projection._start_latents(decoder, pcfg, cfg.seed, "csgm-restart",
-                                   warm_start)
-    trajs = [Trajectory(iterates=[] if cfg.record_trajectory else None)
-             for _ in z0]
-
-    def objective(fz):
-        # the end-of-run clip of project_at_end is evaluated, not recorded
-        note = len(trajs[0].loss_values) <= pcfg.steps
-        loss = np.empty(len(fz))
-        grad = np.empty_like(fz)
-        for i, xv in enumerate(fz):
-            r = sensing.apply(op, xv) - y_tilde
-            loss[i] = float(r @ r) / (2.0 * op.n)
-            grad[i] = sensing.adjoint_apply(op, r) / op.n
-            if note:
-                _record(trajs[i], xv, float(loss[i]), target,
-                        cfg.record_trajectory)
-        return loss, grad
-
-    z, loss, _ = projection._descend(decoder, pcfg, z0, objective)
-    idx = int(projection._first_min(loss))
-    _fill_ratios(trajs[idx])
-    return genmodel.forward(decoder, z[idx]), trajs[idx]
+    return _solve_group("csgm", [op], [y_tilde], None, decoder, cfg,
+                        [cfg.seed], [target], [warm_start])[0]
 
 
 def mu1_of(nu, eps):
@@ -210,23 +186,93 @@ def _check_measurements(op, y):
     return y
 
 
-def _pgd_loop(op, decoder, cfg, grad_fn, loss_fn, target):
-    x = _initial_point(decoder, cfg, op.p)
-    traj = Trajectory(iterates=[] if cfg.record_trajectory else None)
-    _record(traj, x, loss_fn(x), target, cfg.record_trajectory)
-    z_warm = None
+def _solve_group(kind, ops, ys, link, decoder, cfg, seeds, targets,
+                 warm_starts=None):
+    """Solve T trials in lockstep, one (x_hat, trajectory) per trial.
+
+    Trial t has its own operator ops[t], measurements ys[t], error target
+    targets[t] (or None) and seed seeds[t], which stands in for cfg.seed.
+    Each trial's result matches its own solve to round-off: the trials
+    share only the batched latent descents, whose rows never mix.
+    """
+    if kind == "pgd_nlasso":
+        _require_differentiable(link)
+    if not ops:
+        return []
+    ys = [_check_measurements(op, y) for op, y in zip(ops, ys)]
+    if kind == "csgm":
+        return _csgm_group(ops, ys, decoder, cfg, seeds, targets,
+                           warm_starts or [None] * len(ops))
+    if kind == "pgd_glasso":
+        grads = [partial(grad_glasso, op, y) for op, y in zip(ops, ys)]
+        losses = [partial(loss_glasso, op, y) for op, y in zip(ops, ys)]
+    elif kind == "pgd_nlasso":
+        grads = [partial(grad_nlasso, op, y, link) for op, y in zip(ops, ys)]
+        losses = [partial(loss_nlasso, op, y, link) for op, y in zip(ops, ys)]
+    else:
+        raise ValueError(f"unknown solver kind {kind!r}")
+    return _pgd_loop(decoder, cfg, seeds, grads, losses, targets)
+
+
+def _pgd_loop(decoder, cfg, seeds, grads, losses, targets):
+    """PGD on the rows of X, (T, p): row t takes trial t's own gradient and
+    loss, and all T projections of an iteration run as one latent batch."""
+    keep = cfg.record_trajectory
+    x = np.array([_initial_point(decoder, cfg, s) for s in seeds])
+    trajs = [Trajectory(iterates=[] if keep else None) for _ in seeds]
+    for xt, traj, loss, tgt in zip(x, trajs, losses, targets):
+        _record(traj, xt, loss(xt), tgt, keep)
+    z_warm = [None] * len(seeds)
     for t in range(cfg.iterations):
-        v = x - cfg.step_size * grad_fn(x)
-        pres = projection.project(decoder, v, cfg.projection,
-                                  seed=derive_seed(cfg.seed, "project", t),
-                                  warm_start=z_warm)
-        x, z_warm = pres.x_hat, pres.z_hat
-        _record(traj, x, loss_fn(x), target, cfg.record_trajectory)
-    _fill_ratios(traj)
-    return x, traj
+        v = np.array([xt - cfg.step_size * grad(xt)
+                      for xt, grad in zip(x, grads)])
+        pres = projection._project_rows(
+            decoder, v, cfg.projection,
+            [derive_seed(s, "project", t) for s in seeds], z_warm)
+        x = np.array([r.x_hat for r in pres])
+        z_warm = [r.z_hat for r in pres]
+        for xt, traj, loss, tgt in zip(x, trajs, losses, targets):
+            _record(traj, xt, loss(xt), tgt, keep)
+    for traj in trajs:
+        _fill_ratios(traj)
+    return list(zip(x, trajs))
 
 
-def _initial_point(decoder, cfg, p):
+def _csgm_group(ops, ys, decoder, cfg, seeds, targets, warm_starts):
+    """Latent descent for T trials as one batch of T * restarts rows."""
+    pcfg = cfg.projection
+    z0 = np.concatenate([
+        projection._start_latents(decoder, pcfg, s, "csgm-restart", w)
+        for s, w in zip(seeds, warm_starts)])
+    owner = projection._owners(len(ops), pcfg.restarts)
+    trajs = [Trajectory(iterates=[] if cfg.record_trajectory else None)
+             for _ in z0]
+
+    def objective(fz):
+        # the end-of-run clip of project_at_end is evaluated, not recorded
+        note = len(trajs[0].loss_values) <= pcfg.steps
+        loss = np.empty(len(fz))
+        grad = np.empty_like(fz)
+        for i, (xv, t) in enumerate(zip(fz, owner)):
+            op = ops[t]
+            r = sensing.apply(op, xv) - ys[t]
+            loss[i] = float(r @ r) / (2.0 * op.n)
+            grad[i] = sensing.adjoint_apply(op, r) / op.n
+            if note:
+                _record(trajs[i], xv, float(loss[i]), targets[t],
+                        cfg.record_trajectory)
+        return loss, grad
+
+    z, loss, _ = projection._descend(decoder, pcfg, z0, objective)
+    out = []
+    for i in projection._best_rows(loss, pcfg.restarts):
+        _fill_ratios(trajs[i])
+        out.append((genmodel.forward(decoder, z[i]), trajs[i]))
+    return out
+
+
+def _initial_point(decoder, cfg, seed):
+    p = decoder.ambient_dim
     if cfg.x0_mode == "zero":
         return np.zeros(p)
     if cfg.x0_mode == "given":
@@ -234,7 +280,7 @@ def _initial_point(decoder, cfg, p):
         if x0.shape != (p,):
             raise ValueError(f"x0 must have length {p}")
         return x0.copy()
-    z0 = genmodel.sample_latent(decoder, derive_seed(cfg.seed, "x0"))
+    z0 = genmodel.sample_latent(decoder, derive_seed(seed, "x0"))
     return genmodel.forward(decoder, z0)
 
 

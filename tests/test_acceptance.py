@@ -170,8 +170,9 @@ def test_criterion_6_known_vs_unknown():
                            projection=DEFAULT_PROJ, x0_mode="zero")
         setup = analysis.TrialSetup(decoder=dec, link=link, solver_kind=kind,
                                     solver_cfg=cfg, observation="known")
-        cosines = [analysis.run_trial(setup, n, derive_seed(6, kind, i)).cosine
-                   for i in range(30)]
+        records = analysis.run_trials(
+            setup, n, [derive_seed(6, kind, i) for i in range(30)])
+        cosines = [r.cosine for r in records]
         medians[kind] = float(np.median(cosines))
     assert medians["pgd_nlasso"] >= medians["pgd_glasso"], medians
 
@@ -239,8 +240,9 @@ def test_criterion_9_one_bit():
                        projection=DEFAULT_PROJ, x0_mode="zero")
     setup = analysis.TrialSetup(decoder=dec, link=link,
                                 solver_kind="pgd_glasso", solver_cfg=cfg)
-    cosines = [analysis.run_trial(setup, 400, derive_seed(9, "trial", i)).cosine
-               for i in range(30)]
+    records = analysis.run_trials(
+        setup, 400, [derive_seed(9, "trial", i) for i in range(30)])
+    cosines = [r.cosine for r in records]
     med = float(np.median(cosines))
     assert med >= 0.9, f"median cosine {med:.3f} < 0.9"
 

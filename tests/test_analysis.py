@@ -211,7 +211,7 @@ class TestTrials:
         assert np.linalg.norm(z) <= 0.9 * dec.latent_radius + 1e-12
 
     def test_run_trial_record_fields(self):
-        rec = analysis.run_trial(tiny_noiseless_setup(), n=40, seed=1)
+        [rec] = analysis.run_trials(tiny_noiseless_setup(), n=40, seeds=[1])
         assert rec.n == 40
         assert rec.error <= 1e-8
         assert rec.cosine >= 0.999999
@@ -222,7 +222,7 @@ class TestTrials:
         setup = analysis.TrialSetup(
             decoder=setup.decoder, link=setup.link, solver_kind="pgd_glasso",
             solver_cfg=setup.solver_cfg, observation="known")
-        rec = analysis.run_trial(setup, n=40, seed=1)
+        [rec] = analysis.run_trials(setup, n=40, seeds=[1])
         assert math.isnan(rec.error)
         assert -1.0 <= rec.cosine <= 1.0
 

@@ -263,6 +263,22 @@ class TestConfigErrors:
         assert err.startswith("config error: experiment.observation:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("section, value", [
+        ("decoder", 3), ("sensing", 5), ("link", []), ("solver", "x"),
+        ("experiment", [1]), ("experiment", None)])
+    def test_section_not_an_object(self, tmp_path, capsys, section, value):
+        code, err = self._rejected(tmp_path, capsys, **{section: value})
+        assert code == 2
+        assert err.startswith(f"config error: {section}: expected a JSON object")
+        assert err.count("\n") == 1
+
+    def test_projection_section_not_an_object(self, tmp_path, capsys):
+        code, err = self._rejected(
+            tmp_path, capsys, solver={"kind": "pgd_glasso", "projection": 7})
+        assert code == 2
+        assert err.startswith("config error: solver.projection: expected")
+        assert err.count("\n") == 1
+
     def test_top_level_not_an_object(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("[1, 2]")
