@@ -48,6 +48,7 @@ __all__ = [
 
 WNU_SLACK = 0.05  # finite-sample allowance on the inner-product bound
 OPERATOR_BUDGET = 2 ** 19  # dense operator cells (4 MiB) of one trial group
+CHECK_BLOCK = 16  # range pairs sampled, decoded and measured per batch
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,25 @@ def cosine_similarity(a, b):
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
+def _range_blocks(decoder, seed, tags, pairs):
+    """Decoder range points of pairs 0..pairs-1, CHECK_BLOCK pairs at a time.
+
+    For each block of consecutive pair indices i, yields one (b, p) array per
+    tag whose rows are G(z_i), z_i drawn as ``sample_latent(decoder,
+    derive_seed(seed, tag, i), inset=1.0)``; a block's latents of every tag
+    are decoded in one batch.
+    """
+    for start in range(0, pairs, CHECK_BLOCK):
+        idx = range(start, min(start + CHECK_BLOCK, pairs))
+        seeds = [derive_seed(seed, tag, i) for tag in tags for i in idx]
+        z = genmodel._sample_latents(decoder, seeds, inset=1.0)
+        yield np.split(genmodel._forward_cached(decoder, z)[0], len(tags))
+
+
+def _row_norms(x):
+    return np.sqrt(np.vecdot(x, x))
+
+
 def tsrec_check(op, decoder, eps, delta, pairs, seed):
     """Two-sided restricted eigenvalue condition on decoder range points.
 
@@ -97,16 +117,15 @@ def tsrec_check(op, decoder, eps, delta, pairs, seed):
         raise ValueError("delta must be nonnegative")
     violations = 0
     worst = 0.0
-    for i in range(pairs):
-        z1 = genmodel.sample_latent(decoder, derive_seed(seed, "tsrec-a", i), inset=1.0)
-        z2 = genmodel.sample_latent(decoder, derive_seed(seed, "tsrec-b", i), inset=1.0)
-        d = genmodel.forward(decoder, z1) - genmodel.forward(decoder, z2)
-        nd = np.linalg.norm(d)
-        s = np.linalg.norm(sensing.apply(op, d)) / np.sqrt(op.n)
-        if s > (1 + eps) * nd + delta or s < (1 - eps) * nd - delta:
-            violations += 1
-        if nd > 0:
-            worst = max(worst, abs(s / nd - 1.0))
+    for x1, x2 in _range_blocks(decoder, seed, ("tsrec-a", "tsrec-b"), pairs):
+        d = x1 - x2
+        nd = _row_norms(d)
+        s = _row_norms(sensing.apply(op, d)) / np.sqrt(op.n)
+        violations += int(np.count_nonzero((s > (1 + eps) * nd + delta)
+                                           | (s < (1 - eps) * nd - delta)))
+        pos = nd > 0
+        worst = max(worst, float(np.max(np.abs(s[pos] / nd[pos] - 1.0),
+                                        initial=0.0)))
     return _finish_report("tsrec", pairs, violations, worst,
                           {"eps": eps, "delta": delta, "n": op.n, "p": op.p,
                            "k": decoder.latent_dim, "seed": seed,
@@ -149,20 +168,15 @@ def wnu_check(op, decoder, nu, eps, pairs, seed, slack=WNU_SLACK):
     bound_coef = solvers.mu1_of(nu, eps) + slack
     violations = 0
     worst = math.inf
-    for i in range(pairs):
-        xs = []
-        for tag in ("wnu-a", "wnu-b", "wnu-c", "wnu-d"):
-            z = genmodel.sample_latent(decoder, derive_seed(seed, tag, i), inset=1.0)
-            xs.append(genmodel.forward(decoder, z))
-        x1 = xs[0] - xs[1]
-        x2 = xs[2] - xs[3]
+    tags = ("wnu-a", "wnu-b", "wnu-c", "wnu-d")
+    for xa, xb, xc, xd in _range_blocks(decoder, seed, tags, pairs):
+        x1 = xa - xb
+        x2 = xc - xd
         wx1 = x1 - (nu / op.n) * sensing.adjoint_apply(op, sensing.apply(op, x1))
-        lhs = abs(float(wx1 @ x2))
-        scale = np.linalg.norm(x1) * np.linalg.norm(x2)
-        margin = bound_coef * scale - lhs
-        worst = min(worst, margin)
-        if margin < 0:
-            violations += 1
+        lhs = np.abs(np.vecdot(wx1, x2))
+        margin = bound_coef * (_row_norms(x1) * _row_norms(x2)) - lhs
+        worst = min(worst, float(margin.min()))
+        violations += int(np.count_nonzero(margin < 0))
     return _finish_report("wnu", pairs, violations, worst,
                           {"nu": nu, "eps": eps, "slack": slack, "n": op.n,
                            "seed": seed, "allowed_violations": 0})

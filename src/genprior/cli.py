@@ -34,6 +34,28 @@ CHECK_SUITES = ("adjoint", "tsrec", "jle", "wnu", "mvt", "gradients")
 DEFAULT_CHECK_SEED = 20240
 CHECK_REPEATS = 10  # fresh operator draws per probabilistic suite
 
+# The config keys each section may hold: exactly the keys the CLI reads.
+CONFIG_KEYS = {
+    "config": ("master_seed", "out_dir", "decoder", "sensing", "link",
+               "solver", "experiment"),
+    "sensing": ("kind", "n"),
+    "solver": ("kind", "step_size", "iterations", "x0_mode", "projection"),
+    "solver.projection": ("steps", "lr", "restarts", "optimizer", "init",
+                          "ball_handling", "method"),
+    "experiment": ("observation", "delta", "grid", "trials"),
+}
+DECODER_KEYS = {  # per family
+    "mlp": ("family", "seed", "k", "p", "r", "activation", "layer_dims",
+            "weight_scale"),
+    "orthonormal_linear": ("family", "seed", "k", "p", "r"),
+    "identity": ("family", "k", "r"),
+}
+LINK_KEYS = {  # per kind
+    "linear": ("kind", "sigma", "tau"),
+    "shifted_cosine": ("kind", "sigma", "tau"),
+    "sign_dithered": ("kind", "sigma_d", "tau"),
+}
+
 
 def main(argv=None):
     parser = _build_parser()
@@ -66,6 +88,8 @@ def _build_parser():
                        help="override the calibrated measurement count")
     check.add_argument("--seed", type=int, default=DEFAULT_CHECK_SEED)
     check.add_argument("--quiet", action="store_true")
+    check.add_argument("--json", action="store_true",
+                       help="print the reports as a JSON list")
     check.set_defaults(func=cmd_check)
 
     model = sub.add_parser("model", help="create or describe decoder JSON")
@@ -165,7 +189,10 @@ def cmd_check(args):
     except ValueError as e:
         raise ConfigError(f"check {args.suite}: {e}") from e
     passed = all(r.passed for r in reports)
-    if not args.quiet:
+    if args.json and not args.quiet:
+        print(json.dumps([analysis.report_to_json(r) for r in reports],
+                         indent=2))
+    elif not args.quiet:
         for r in reports:
             print(r.summary())
     return EXIT_OK if passed else EXIT_CHECK_FAILED
@@ -307,22 +334,37 @@ def _require(cfg, key, path):
 
 
 def _section(cfg, key, path="config", required=True):
-    """The JSON object at cfg[key]; an absent optional section is {}."""
+    """The JSON object at cfg[key]; an absent optional section is {}.
+    Its keys are checked when CONFIG_KEYS lists the section."""
     if not required and key not in cfg:
         return {}
     doc = _require(cfg, key, path)
+    name = key if path == "config" else f"{path}.{key}"
     if not isinstance(doc, dict):
-        name = key if path == "config" else f"{path}.{key}"
         raise ConfigError(f"{name}: expected a JSON object, "
                           f"got {type(doc).__name__}")
+    if name in CONFIG_KEYS:
+        _known_keys(doc, CONFIG_KEYS[name], name)
     return doc
 
 
+def _known_keys(doc, keys, name):
+    """Reject the first key of doc, in sorted order, that is not in keys."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        where = unknown[0] if name == "config" else f"{name}.{unknown[0]}"
+        raise ConfigError(f"{where}: unknown key (known: {', '.join(keys)})")
+
+
 def _build_setup(cfg, args):
+    _known_keys(cfg, CONFIG_KEYS["config"], "config")
     master = args.seed if args.seed is not None else cfg.get("master_seed", 0)
     out_dir = args.out or cfg.get("out_dir", "genprior-out")
 
     dec_cfg = _section(cfg, "decoder")
+    family = dec_cfg.get("family", "mlp")
+    if isinstance(family, str) and family in DECODER_KEYS:
+        _known_keys(dec_cfg, DECODER_KEYS[family], "decoder")
     try:
         dec_doc = dict(dec_cfg)
         dec_doc.setdefault("seed", derive_seed(master, "decoder"))
@@ -376,6 +418,8 @@ def _build_setup(cfg, args):
 
 def _build_link(link_cfg):
     kind = _require(link_cfg, "kind", "link")
+    if isinstance(kind, str) and kind in LINK_KEYS:
+        _known_keys(link_cfg, LINK_KEYS[kind], "link")
     sigma = link_cfg.get("sigma", 0.0)
     tau = link_cfg.get("tau", 0.0)
     try:

@@ -196,12 +196,21 @@ def sample_latent(decoder, seed, inset=0.9):
     The default inset keeps planted signals strictly interior to the latent
     ball, away from projection boundary effects.
     """
-    rng = np.random.default_rng(seed)
+    return _sample_latents(decoder, [seed], inset)[0]
+
+
+def _sample_latents(decoder, seeds, inset):
+    """One ``sample_latent`` draw per seed, as the rows of a (len(seeds), k)
+    array. Each row equals its one-seed draw bit for bit: the radius is
+    computed in Python floats, and ``vecdot`` rounds like the 1-D norm."""
     k = decoder.latent_dim
-    direction = rng.standard_normal(k)
-    direction /= np.linalg.norm(direction)
-    radius = decoder.latent_radius * inset * rng.uniform() ** (1.0 / k)
-    return radius * direction
+    d = np.empty((len(seeds), k))
+    radius = np.empty(len(seeds))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        d[i] = rng.standard_normal(k)
+        radius[i] = decoder.latent_radius * inset * rng.random() ** (1.0 / k)
+    return radius[:, None] * (d / np.sqrt(np.vecdot(d, d))[:, None])
 
 
 def decoder_to_json(decoder):

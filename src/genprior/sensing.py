@@ -69,26 +69,32 @@ def sensing_new(kind, n, p, seed):
 
 
 def apply(op, x):
-    """A x. Circulant path: cyclic convolution then row subsampling."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (op.p,):
-        raise ValueError(f"expected vector of length {op.p}")
+    """A x for a vector x, or the rows of A x_i for a stack x of shape (m, p).
+    Circulant path: cyclic convolution then row subsampling."""
+    x = _checked(x, op.p)
     if op.kind == "dense_gaussian":
-        return op.matrix @ x
+        return op.matrix @ x if x.ndim == 1 else x @ op.matrix.T
     full = _cyclic_convolve(op.gen, op.signs * x)
-    return full[op.omega]
+    return full[..., op.omega]
 
 
 def adjoint_apply(op, v):
-    """A^T v. Circulant path: zero-fill on omega, correlate with g, flip signs."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (op.n,):
-        raise ValueError(f"expected vector of length {op.n}")
+    """A^T v for a vector v, or row-wise for a stack v of shape (m, n).
+    Circulant path: zero-fill on omega, correlate with g, flip signs."""
+    v = _checked(v, op.n)
     if op.kind == "dense_gaussian":
-        return op.matrix.T @ v
-    w = np.zeros(op.p)
-    w[op.omega] = v
+        return op.matrix.T @ v if v.ndim == 1 else v @ op.matrix
+    w = np.zeros(v.shape[:-1] + (op.p,))
+    w[..., op.omega] = v
     return op.signs * _cyclic_correlate(op.gen, w)
+
+
+def _checked(x, length):
+    """x as a float array: a vector of the given length or a stack of rows."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != length:
+        raise ValueError(f"expected vector of length {length} or rows of it")
+    return x
 
 
 def materialize(op):

@@ -1,8 +1,12 @@
-"""Reference estimators shared by the test modules."""
+"""Reference implementations shared by the test modules: the estimators
+and serial loops that the library's closed forms and batched paths must
+match."""
+
+import math
 
 import numpy as np
 
-from genprior import measurement
+from genprior import genmodel, measurement, sensing, solvers
 from genprior.seeding import derive_seed
 
 MU_MC_SEED = derive_seed(0, "mu-of-link-mc")
@@ -15,3 +19,55 @@ def mu_mc_estimate(link, samples, seed):
     y = measurement.link_eval(link, g, seed=derive_seed(seed, "e"))
     vals = y * g
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
+
+
+def sample_latent(decoder, seed, inset=0.9):
+    """One uniform draw from the ball of radius inset * r, sampled alone;
+    the oracle for ``genmodel._sample_latents``."""
+    rng = np.random.default_rng(seed)
+    k = decoder.latent_dim
+    direction = rng.standard_normal(k)
+    direction /= np.linalg.norm(direction)
+    radius = decoder.latent_radius * inset * rng.uniform() ** (1.0 / k)
+    return radius * direction
+
+
+def tsrec_check(op, decoder, eps, delta, pairs, seed):
+    """(violations, worst_margin) of ``analysis.tsrec_check``, one pair at a
+    time through the single-vector forward pass and operator."""
+    violations = 0
+    worst = 0.0
+    for i in range(pairs):
+        z1 = sample_latent(decoder, derive_seed(seed, "tsrec-a", i), inset=1.0)
+        z2 = sample_latent(decoder, derive_seed(seed, "tsrec-b", i), inset=1.0)
+        d = genmodel.forward(decoder, z1) - genmodel.forward(decoder, z2)
+        nd = np.linalg.norm(d)
+        s = np.linalg.norm(sensing.apply(op, d)) / np.sqrt(op.n)
+        if s > (1 + eps) * nd + delta or s < (1 - eps) * nd - delta:
+            violations += 1
+        if nd > 0:
+            worst = max(worst, abs(s / nd - 1.0))
+    return violations, float(worst)
+
+
+def wnu_check(op, decoder, nu, eps, pairs, seed, slack):
+    """(violations, worst_margin) of ``analysis.wnu_check``, one pair at a
+    time through the single-vector forward pass and operator."""
+    bound_coef = solvers.mu1_of(nu, eps) + slack
+    violations = 0
+    worst = math.inf
+    for i in range(pairs):
+        xs = []
+        for tag in ("wnu-a", "wnu-b", "wnu-c", "wnu-d"):
+            z = sample_latent(decoder, derive_seed(seed, tag, i), inset=1.0)
+            xs.append(genmodel.forward(decoder, z))
+        x1 = xs[0] - xs[1]
+        x2 = xs[2] - xs[3]
+        wx1 = x1 - (nu / op.n) * sensing.adjoint_apply(op, sensing.apply(op, x1))
+        lhs = abs(float(wx1 @ x2))
+        scale = np.linalg.norm(x1) * np.linalg.norm(x2)
+        margin = bound_coef * scale - lhs
+        worst = min(worst, margin)
+        if margin < 0:
+            violations += 1
+    return violations, float(worst)

@@ -251,13 +251,13 @@ def test_criterion_9_one_bit():
 def test_criterion_10_cli_determinism(tmp_path):
     cfg = {
         "master_seed": 31,
-        "decoder": {"family": "mlp", "k": 4, "hidden_dims": [12], "p": 48,
+        "decoder": {"family": "mlp", "k": 4, "layer_dims": [12], "p": 48,
                     "r": 3.0, "activation": "tanh", "weight_scale": 1.0},
         "sensing": {"kind": "partial_circulant", "n": 32},
         "link": {"kind": "shifted_cosine", "sigma": 0.1},
         "solver": {"kind": "pgd_nlasso", "step_size": 0.23, "iterations": 5,
                    "projection": {"steps": 60, "restarts": 2}},
-        "experiment": {"mode": "rate", "grid": [24, 48], "trials": 10},
+        "experiment": {"grid": [24, 48], "trials": 10},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

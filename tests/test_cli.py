@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from genprior import cli
+from genprior import analysis, cli
 
 
 def write_config(path, **overrides):
@@ -62,7 +62,7 @@ class TestSolve:
     def test_byte_identical_rerun(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path,
-                     decoder={"family": "mlp", "k": 3, "hidden_dims": [6],
+                     decoder={"family": "mlp", "k": 3, "layer_dims": [6],
                               "p": 32, "r": 3.0, "activation": "tanh",
                               "weight_scale": 1.0},
                      solver={"kind": "pgd_nlasso", "step_size": 0.23,
@@ -79,7 +79,7 @@ class TestSolve:
     def test_seed_flag_changes_outputs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path,
-                     decoder={"family": "mlp", "k": 3, "hidden_dims": [6],
+                     decoder={"family": "mlp", "k": 3, "layer_dims": [6],
                               "p": 32, "r": 3.0},
                      solver={"kind": "pgd_glasso", "step_size": 1.0,
                              "iterations": 4,
@@ -94,8 +94,7 @@ class TestSolve:
 class TestRate:
     def test_two_row_csv_and_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path, experiment={"mode": "rate", "grid": [40, 80],
-                                           "trials": 10})
+        write_config(cfg_path, experiment={"grid": [40, 80], "trials": 10})
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["rate", "--config", str(cfg_path), "--out", str(a),
                          "--quiet"]) == 0
@@ -115,8 +114,7 @@ class TestRate:
 
     def test_threads_env_override(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path, experiment={"mode": "rate", "grid": [40],
-                                           "trials": 10})
+        write_config(cfg_path, experiment={"grid": [40], "trials": 10})
         monkeypatch.setenv("GENPRIOR_THREADS", "2")
         a = tmp_path / "a"
         assert cli.main(["rate", "--config", str(cfg_path), "--out", str(a),
@@ -136,7 +134,110 @@ class TestRate:
         assert cli._threads(argparse.Namespace(threads=1)) == cap
 
 
+# (argv after "check", exit code, stdout lines) of `genprior check`
+CHECK_GOLDEN = [
+    (["adjoint"], 0, [
+        "[PASS] adjoint: 0/100 violations, worst margin 3.428e-15",
+        "[PASS] adjoint: 0/100 violations, worst margin 5.337e-14",
+        "[PASS] adjoint: 0/100 violations, worst margin 3.001e-13",
+        "[PASS] adjoint: 0/100 violations, worst margin 7.264e-15",
+    ]),
+    (["tsrec"], 0, [
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.204e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.702e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.110e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.186e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 9.975e-02",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.377e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.413e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.202e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.343e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.043e-01",
+    ]),
+    (["jle"], 0, [
+        "[PASS] jle: 0/100 violations, worst margin 4.558e-01",
+        "[PASS] jle: 0/100 violations, worst margin 2.254e-01",
+        "[PASS] jle: 0/100 violations, worst margin 3.122e-01",
+        "[PASS] jle: 0/100 violations, worst margin 2.397e-01",
+        "[PASS] jle: 0/100 violations, worst margin 2.545e-01",
+        "[PASS] jle: 0/100 violations, worst margin 2.210e-01",
+        "[PASS] jle: 0/100 violations, worst margin 2.538e-01",
+        "[PASS] jle: 0/100 violations, worst margin 3.426e-01",
+        "[PASS] jle: 0/100 violations, worst margin 2.649e-01",
+        "[PASS] jle: 0/100 violations, worst margin 3.068e-01",
+    ]),
+    (["wnu"], 0, [
+        "[PASS] wnu: 0/500 violations, worst margin 1.761e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 4.693e-01",
+        "[PASS] wnu: 0/500 violations, worst margin 1.886e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 1.616e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 2.440e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 1.700e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 1.759e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 2.519e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 1.689e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 1.435e+00",
+        "[PASS] polarization: 0/100 violations, worst margin 5.640e-14",
+    ]),
+    (["mvt"], 0, [
+        "[PASS] mvt: 0/100 violations, worst margin 0.000e+00",
+        "[PASS] mvt: 0/100 violations, worst margin 2.266e+01",
+    ]),
+    (["gradients"], 0, [
+        "[PASS] gradients: 0/50 violations, worst margin 2.989e-06",
+    ]),
+    (["tsrec", "--n", "1"], 1, [
+        "[FAIL] tsrec: 550/1000 violations, worst margin 1.489e+00",
+        "[FAIL] tsrec: 529/1000 violations, worst margin 1.439e+00",
+        "[FAIL] tsrec: 532/1000 violations, worst margin 2.382e+00",
+        "[FAIL] tsrec: 497/1000 violations, worst margin 1.722e+00",
+        "[FAIL] tsrec: 826/1000 violations, worst margin 9.996e-01",
+        "[FAIL] tsrec: 659/1000 violations, worst margin 9.991e-01",
+        "[FAIL] tsrec: 503/1000 violations, worst margin 2.051e+00",
+        "[FAIL] tsrec: 474/1000 violations, worst margin 1.262e+00",
+        "[FAIL] tsrec: 450/1000 violations, worst margin 1.056e+00",
+        "[FAIL] tsrec: 561/1000 violations, worst margin 9.988e-01",
+    ]),
+    (["wnu", "--n", "1"], 1, [
+        "[FAIL] wnu: 446/500 violations, worst margin -8.093e+02",
+        "[FAIL] wnu: 403/500 violations, worst margin -3.312e+02",
+        "[FAIL] wnu: 356/500 violations, worst margin -1.834e+02",
+        "[FAIL] wnu: 331/500 violations, worst margin -1.339e+02",
+        "[FAIL] wnu: 354/500 violations, worst margin -1.391e+02",
+        "[FAIL] wnu: 393/500 violations, worst margin -4.000e+02",
+        "[FAIL] wnu: 386/500 violations, worst margin -3.231e+02",
+        "[FAIL] wnu: 258/500 violations, worst margin -6.720e+01",
+        "[FAIL] wnu: 378/500 violations, worst margin -3.438e+02",
+        "[FAIL] wnu: 270/500 violations, worst margin -7.187e+01",
+        "[PASS] polarization: 0/100 violations, worst margin 9.968e-15",
+    ]),
+]
+
+
+
 class TestCheck:
+    @pytest.mark.parametrize("argv, code, lines", CHECK_GOLDEN)
+    def test_stdout_and_exit_code_golden(self, capsys, argv, code, lines):
+        assert cli.main(["check", *argv]) == code
+        assert capsys.readouterr().out == "".join(f"{ln}\n" for ln in lines)
+
+    @pytest.mark.parametrize("argv, code, lines", [
+        case for case in CHECK_GOLDEN
+        if case[0] in (["mvt"], ["gradients"], ["tsrec", "--n", "1"])])
+    def test_json_lists_the_reports(self, capsys, argv, code, lines):
+        assert cli.main(["check", *argv, "--json"]) == code
+        docs = json.loads(capsys.readouterr().out)
+        assert [set(d) for d in docs] == [
+            {"name", "trials", "violations", "worst_margin", "params",
+             "passed"}] * len(lines)
+        assert [analysis.CheckReport(
+            d["name"], d["trials"], d["violations"], d["worst_margin"],
+            d["params"], d["passed"]).summary() for d in docs] == lines
+
+    def test_json_quiet_prints_nothing(self, capsys):
+        assert cli.main(["check", "mvt", "--json", "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_mvt_passes(self, capsys):
         assert cli.main(["check", "mvt"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -284,6 +385,39 @@ class TestConfigErrors:
         cfg_path.write_text("[1, 2]")
         assert cli.main(["solve", "--config", str(cfg_path), "--quiet"]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"decoder": {"family": "mlp", "k": 3, "hidden_dims": [16], "p": 32,
+                      "r": 3.0}}, "decoder.hidden_dims"),
+        ({"decoder": {"family": "identity", "k": 3, "r": 3.0, "seed": 1}},
+         "decoder.seed"),
+        ({"link": {"kind": "sign_dithered", "sigma": 0.1}}, "link.sigma"),
+        ({"link": {"kind": "linear", "sigma_d": 0.1}}, "link.sigma_d"),
+        ({"experiment": {"mode": "rate", "grid": [40]}}, "experiment.mode"),
+        ({"sensing": {"kind": "dense_gaussian", "n": 40, "m": 1}},
+         "sensing.m"),
+        ({"solver": {"kind": "pgd_glasso", "steps": 3}}, "solver.steps"),
+        ({"solver": {"kind": "pgd_glasso", "projection": {"step": 3}}},
+         "solver.projection.step"),
+        ({"seed": 3}, "seed"),
+    ])
+    def test_unknown_key(self, tmp_path, capsys, overrides, name):
+        code, err = self._rejected(tmp_path, capsys, **overrides)
+        assert code == 2
+        assert err.startswith(f"config error: {name}: unknown key")
+        assert err.count("\n") == 1
+
+    def test_readme_config_example_loads(self):
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "README.md")).read()
+        section = readme[readme.index("### Config schema"):]
+        start = section.index("```json\n") + len("```json\n")
+        cfg = json.loads(section[start:section.index("```", start)])
+        setup, n, master, out_dir = cli._build_setup(
+            cfg, argparse.Namespace(seed=None, out=None))
+        assert (n, master, out_dir) == (250, 7, "runs/demo")
+        assert setup.decoder.hidden_dims == (32,)
 
 
 class TestEntryPoint:
