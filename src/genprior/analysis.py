@@ -491,6 +491,11 @@ def rate_experiment(grid, trials, setup, seed, threads=1, n_cap=100_000):
         raise ValueError("rate experiment needs a solver matching the "
                          "observation model so the error target is defined")
     decoder = setup.decoder
+    lip = genmodel.lipschitz_bound(decoder)
+    lr = lip * decoder.latent_radius
+    if not 0 < setup.delta < lr:  # the rate's log(L r / delta) is positive
+        raise ValueError(f"delta must be in (0, L r) = (0, {lr:.6g}), "
+                         f"got {setup.delta}")
     jobs = []
     for n in grid:
         dense = setup.sensing_kind == "dense_gaussian"
@@ -503,9 +508,7 @@ def rate_experiment(grid, trials, setup, seed, threads=1, n_cap=100_000):
     else:
         groups = [_run_trials_star(j) for j in jobs]
     records = [rec for group in groups for rec in group]
-    lip = genmodel.lipschitz_bound(decoder)
-    scale = math.sqrt(decoder.latent_dim
-                      * math.log(lip * decoder.latent_radius / setup.delta))
+    scale = math.sqrt(decoder.latent_dim * math.log(lr / setup.delta))
     medians, q25s, q75s = [], [], []
     for idx, n in enumerate(grid):
         errs = np.asarray([r.error for r in records[idx * trials:(idx + 1) * trials]])

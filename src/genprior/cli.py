@@ -13,6 +13,8 @@ solver does not apply to the configured link.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import json
 import math
 import os
@@ -34,26 +36,58 @@ CHECK_SUITES = ("adjoint", "tsrec", "jle", "wnu", "mvt", "gradients")
 DEFAULT_CHECK_SEED = 20240
 CHECK_REPEATS = 10  # fresh operator draws per probabilistic suite
 
-# The config keys each section may hold: exactly the keys the CLI reads.
-CONFIG_KEYS = {
-    "config": ("master_seed", "out_dir", "decoder", "sensing", "link",
-               "solver", "experiment"),
-    "sensing": ("kind", "n"),
-    "solver": ("kind", "step_size", "iterations", "x0_mode", "projection"),
-    "solver.projection": ("steps", "lr", "restarts", "optimizer", "init",
-                          "ball_handling", "method"),
-    "experiment": ("observation", "delta", "grid", "trials"),
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+TYPES = {  # the JSON types of config values, by their names in errors
+    "an integer": _is_int,
+    "a finite number": lambda v: ((_is_int(v) or isinstance(v, float))
+                                  and abs(v) <= sys.float_info.max),
+    "a string": lambda v: isinstance(v, str),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "a JSON object": lambda v: isinstance(v, dict),
 }
-DECODER_KEYS = {  # per family
-    "mlp": ("family", "seed", "k", "p", "r", "activation", "layer_dims",
-            "weight_scale"),
-    "orthonormal_linear": ("family", "seed", "k", "p", "r"),
-    "identity": ("family", "k", "r"),
-}
-LINK_KEYS = {  # per kind
-    "linear": ("kind", "sigma", "tau"),
-    "shifted_cosine": ("kind", "sigma", "tau"),
-    "sign_dithered": ("kind", "sigma_d", "tau"),
+INT, NUM, STR, INTS, OBJ = TYPES
+# A key's type (a name in TYPES), whether it is required, and the values
+# allowed when only some are.
+_Key = collections.namedtuple("_Key", "type required choices",
+                              defaults=(False, ()))
+_DIMS = {"k": _Key(INT, True), "p": _Key(INT, True), "r": _Key(NUM, True)}
+
+# The config schema: the keys of each section, exactly the keys the CLI
+# reads. A section whose keys depend on one of its values is a (variant key,
+# its default, {variant: keys}) triple. Defaults and ranges are left to the
+# library constructors the values are passed to.
+SCHEMA = {
+    "config": {"master_seed": _Key(INT), "out_dir": _Key(STR),
+               **dict.fromkeys(("decoder", "sensing", "link", "solver"),
+                               _Key(OBJ, True)), "experiment": _Key(OBJ)},
+    "decoder": ("family", "mlp", {
+        "mlp": {"seed": _Key(INT), **_DIMS,
+                "activation": _Key(STR, False, genmodel.ACTIVATIONS),
+                "layer_dims": _Key(INTS), "weight_scale": _Key(NUM)},
+        "orthonormal_linear": {"seed": _Key(INT), **_DIMS},
+        "identity": {"k": _DIMS["k"], "r": _DIMS["r"]}}),
+    "sensing": {"kind": _Key(STR, False, sensing.KINDS), "n": _Key(INT, True)},
+    "link": ("kind", None, {  # built by measurement.<kind>_link
+        "linear": {"sigma": _Key(NUM), "tau": _Key(NUM)},
+        "shifted_cosine": {"sigma": _Key(NUM), "tau": _Key(NUM)},
+        "sign_dithered": {"sigma_d": _Key(NUM), "tau": _Key(NUM)}}),
+    "solver": {"kind": _Key(STR, True, ("pgd_glasso", "pgd_nlasso", "csgm")),
+               "step_size": _Key(NUM), "iterations": _Key(INT),
+               "x0_mode": _Key(STR, False, solvers.X0_MODES),
+               "projection": _Key(OBJ)},
+    "solver.projection": {
+        "steps": _Key(INT), "lr": _Key(NUM), "restarts": _Key(INT),
+        "optimizer": _Key(STR, False, projection.OPTIMIZERS),
+        "init": _Key(STR, False, projection.INITS),
+        "ball_handling": _Key(STR, False, projection.BALL_HANDLING),
+        "method": _Key(STR, False, projection.METHODS)},
+    "experiment": {"observation": _Key(STR, False, ("sim", "known", "auto")),
+                   "delta": _Key(NUM), "grid": _Key(INTS),
+                   "trials": _Key(INT)},
 }
 
 
@@ -104,8 +138,7 @@ def _build_parser():
     mnew.add_argument("--activation", default="tanh",
                       choices=genmodel.ACTIVATIONS)
     mnew.add_argument("--scale", type=float, default=1.0)
-    mnew.add_argument("--family", default="mlp",
-                      choices=("mlp", "orthonormal_linear", "identity"))
+    mnew.add_argument("--family", default="mlp", choices=SCHEMA["decoder"][2])
     mnew.add_argument("--seed", type=int, default=0)
     mnew.set_defaults(func=cmd_model_new)
     minfo = msub.add_parser("info")
@@ -141,7 +174,8 @@ def cmd_solve(args):
         "l2_error": None if not result.matched else result.record.error,
         "cosine_similarity": result.record.cosine,
     }
-    os.makedirs(out_dir, exist_ok=True)
+    with _reported("output directory", OSError):
+        os.makedirs(out_dir, exist_ok=True)
     solvers.trajectory_to_csv(result.trajectory,
                               os.path.join(out_dir, "trajectory.csv"))
     _write_json(os.path.join(out_dir, "metrics.json"), metrics)
@@ -159,17 +193,14 @@ def cmd_rate(args):
     cfg = _load_config(args.config)
     setup, _, master, out_dir = _build_setup(cfg, args)
     exp = cfg.get("experiment", {})
-    grid = exp.get("grid")
-    trials = exp.get("trials", 30)
-    if not grid:
-        raise ConfigError("experiment.grid is required for the rate command")
-    try:
-        table = analysis.rate_experiment(grid, trials, setup,
-                                         derive_seed(master, "rate"),
+    if "grid" not in exp:
+        raise ConfigError("experiment.grid: required by the rate command")
+    with _reported("experiment"):
+        table = analysis.rate_experiment(exp["grid"], exp.get("trials", 30),
+                                         setup, derive_seed(master, "rate"),
                                          threads=_threads(args))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    os.makedirs(out_dir, exist_ok=True)
+    with _reported("output directory", OSError):
+        os.makedirs(out_dir, exist_ok=True)
     analysis.rate_table_to_csv(table, os.path.join(out_dir, "rate.csv"))
     _write_json(os.path.join(out_dir, "rate.json"),
                 analysis.rate_table_to_json(table))
@@ -184,10 +215,10 @@ def cmd_rate(args):
 # ----------------------------------------------------------------- check
 
 def cmd_check(args):
-    try:
+    if args.n is not None and args.n < 1:
+        raise ConfigError(f"check {args.suite}: --n must be >= 1, got {args.n}")
+    with _reported(f"check {args.suite}"):
         reports = _run_suite(args.suite, args.seed, args.n)
-    except ValueError as e:
-        raise ConfigError(f"check {args.suite}: {e}") from e
     passed = all(r.passed for r in reports)
     if args.json and not args.quiet:
         print(json.dumps([analysis.report_to_json(r) for r in reports],
@@ -210,19 +241,22 @@ def _calibrated_n(decoder, factor, eps, delta):
 
 
 def _run_suite(suite, seed, n_override):
+    def size(n):
+        return n if n_override is None else n_override
+
     reports = []
     if suite == "adjoint":
         cases = [("dense_gaussian", 50, 80), ("dense_gaussian", 200, 120),
                  ("partial_circulant", 5, 8), ("partial_circulant", 37, 64)]
         for i, (kind, n, p) in enumerate(cases):
-            op = sensing.sensing_new(kind, n_override or n, p,
+            op = sensing.sensing_new(kind, size(n), p,
                                      derive_seed(seed, "adjoint-op", i))
             reports.append(analysis.adjoint_check(
                 op, trials=100, seed=derive_seed(seed, "adjoint", i)))
     elif suite == "tsrec":
         dec = _check_decoder(derive_seed(seed, "decoder"))
         # frozen: C = 8 at eps = 0.5 (the eps^2 factor is folded into C)
-        n = n_override or _calibrated_n(dec, 8 * 0.5 ** 2, 0.5, 0.01)
+        n = size(_calibrated_n(dec, 8 * 0.5 ** 2, 0.5, 0.01))
         for i in range(CHECK_REPEATS):
             op = sensing.sensing_new("dense_gaussian", n, dec.ambient_dim,
                                      derive_seed(seed, "tsrec-op", i))
@@ -231,7 +265,7 @@ def _run_suite(suite, seed, n_override):
                 seed=derive_seed(seed, "tsrec", i)))
     elif suite == "jle":
         p = 64
-        n = n_override or 200
+        n = size(200)
         for i in range(CHECK_REPEATS):
             op = sensing.sensing_new("dense_gaussian", n, p,
                                      derive_seed(seed, "jle-op", i))
@@ -240,19 +274,19 @@ def _run_suite(suite, seed, n_override):
             reports.append(analysis.jle_check(op, pts, eps=0.5))
     elif suite == "wnu":
         dec = _check_decoder(derive_seed(seed, "decoder"))
-        n = n_override or _calibrated_n(dec, 1.0, 0.3, 1e-3)
+        n = size(_calibrated_n(dec, 1.0, 0.3, 1e-3))
         for i in range(CHECK_REPEATS):
             op = sensing.sensing_new("dense_gaussian", n, dec.ambient_dim,
                                      derive_seed(seed, "wnu-op", i))
             reports.append(analysis.wnu_check(
                 op, dec, nu=1.0, eps=0.3, pairs=500,
                 seed=derive_seed(seed, "wnu", i)))
-        op = sensing.sensing_new("dense_gaussian", n_override or 48, 32,
+        op = sensing.sensing_new("dense_gaussian", size(48), 32,
                                  derive_seed(seed, "polar-op"))
         reports.append(analysis.polarization_check(
             op, pairs=100, seed=derive_seed(seed, "polar")))
     elif suite == "mvt":
-        op = sensing.sensing_new("dense_gaussian", n_override or 60, 40,
+        op = sensing.sensing_new("dense_gaussian", size(60), 40,
                                  derive_seed(seed, "mvt-op"))
         links = (measurement.linear_link(), measurement.shifted_cosine_link())
         for i, link in enumerate(links):
@@ -262,7 +296,7 @@ def _run_suite(suite, seed, n_override):
         dec = genmodel.decoder_new(derive_seed(seed, "decoder"), k=4,
                                    hidden_dims=[8], p=24, r=3.0,
                                    activation="tanh", weight_scale=1.0)
-        op = sensing.sensing_new("dense_gaussian", n_override or 40, 24,
+        op = sensing.sensing_new("dense_gaussian", size(40), 24,
                                  derive_seed(seed, "grad-op"))
         reports.append(analysis.gradient_check(
             op, measurement.shifted_cosine_link(), dec, points=50,
@@ -275,23 +309,18 @@ def _run_suite(suite, seed, n_override):
 # ----------------------------------------------------------------- model
 
 def cmd_model_new(args):
-    hidden = [int(h) for h in args.hidden.split(",") if h.strip()]
-    try:
-        if args.family == "mlp":
-            dec = genmodel.decoder_new(args.seed, args.k, hidden, args.p,
-                                       args.r, args.activation, args.scale)
-        elif args.family == "orthonormal_linear":
-            dec = genmodel.orthonormal_linear_decoder(args.seed, args.k,
-                                                      args.p, args.r)
-        else:
-            dec = genmodel.identity_decoder(args.k, args.r)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    with _reported("--hidden"):
+        hidden = [int(h) for h in args.hidden.split(",") if h.strip()]
+    with _reported("model new"):
+        dec = genmodel.decoder_from_json({
+            "family": args.family, "seed": args.seed, "k": args.k,
+            "layer_dims": hidden, "p": args.p, "r": args.r,
+            "activation": args.activation, "weight_scale": args.scale})
     doc = genmodel.decoder_to_json(dec)
     doc["lipschitz_bound"] = genmodel.lipschitz_bound(dec)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with _reported("--out", OSError), open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -317,8 +346,8 @@ def _load_config(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError as e:
-        raise ConfigError(str(e)) from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from e
@@ -327,113 +356,81 @@ def _load_config(path):
     return doc
 
 
-def _require(cfg, key, path):
-    if key not in cfg:
-        raise ConfigError(f"missing required key {path}.{key}")
-    return cfg[key]
-
-
-def _section(cfg, key, path="config", required=True):
-    """The JSON object at cfg[key]; an absent optional section is {}.
-    Its keys are checked when CONFIG_KEYS lists the section."""
-    if not required and key not in cfg:
-        return {}
-    doc = _require(cfg, key, path)
-    name = key if path == "config" else f"{path}.{key}"
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{name}: expected a JSON object, "
-                          f"got {type(doc).__name__}")
-    if name in CONFIG_KEYS:
-        _known_keys(doc, CONFIG_KEYS[name], name)
-    return doc
-
-
-def _known_keys(doc, keys, name):
-    """Reject the first key of doc, in sorted order, that is not in keys."""
-    unknown = sorted(set(doc) - set(keys))
+def _check(doc, name):
+    """Check doc, the JSON object of section name, against SCHEMA: each key's
+    presence, type and value, its subsections, and that it has no other key."""
+    table = SCHEMA[name]
+    if isinstance(table, tuple):
+        key, default, tables = table
+        variant = doc.get(key, default)
+        table = {key: _Key(STR, default is None, tuple(tables)),
+                 **(tables.get(variant, {}) if isinstance(variant, str) else {})}
+    at = "" if name == "config" else f"{name}."
+    for key, spec in table.items():
+        value = doc.get(key)
+        if key not in doc:
+            if spec.required:
+                raise ConfigError(f"{at}{key}: missing required key")
+        elif not TYPES[spec.type](value):
+            raise ConfigError(f"{at}{key}: expected {spec.type}, "
+                              f"got {json.dumps(value)}")
+        elif spec.choices and value not in spec.choices:
+            raise ConfigError(f"{at}{key}: {json.dumps(value)} is not one of "
+                              f"{', '.join(spec.choices)}")
+        elif spec.type == OBJ:
+            _check(value, at + key)
+    unknown = sorted(set(doc) - set(table))
     if unknown:
-        where = unknown[0] if name == "config" else f"{name}.{unknown[0]}"
-        raise ConfigError(f"{where}: unknown key (known: {', '.join(keys)})")
+        raise ConfigError(f"{at}{unknown[0]}: unknown key "
+                          f"(known: {', '.join(table)})")
+
+
+def _args(doc, **names):
+    """The keys of doc present among names, as the keyword arguments named."""
+    return {arg: doc[key] for key, arg in names.items() if key in doc}
+
+
+@contextlib.contextmanager
+def _reported(where, errors=ValueError):
+    """Report errors raised in the block, by default a library constructor's
+    ValueError, as config errors about where."""
+    try:
+        yield
+    except errors as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def _build_setup(cfg, args):
-    _known_keys(cfg, CONFIG_KEYS["config"], "config")
+    _check(cfg, "config")
     master = args.seed if args.seed is not None else cfg.get("master_seed", 0)
     out_dir = args.out or cfg.get("out_dir", "genprior-out")
-
-    dec_cfg = _section(cfg, "decoder")
-    family = dec_cfg.get("family", "mlp")
-    if isinstance(family, str) and family in DECODER_KEYS:
-        _known_keys(dec_cfg, DECODER_KEYS[family], "decoder")
-    try:
-        dec_doc = dict(dec_cfg)
-        dec_doc.setdefault("seed", derive_seed(master, "decoder"))
-        decoder = genmodel.decoder_from_json(dec_doc)
-    except (KeyError, ValueError, TypeError) as e:
-        raise ConfigError(f"decoder: {e}") from e
-
-    link = _build_link(_section(cfg, "link"))
-
-    sense_cfg = _section(cfg, "sensing")
-    kind = sense_cfg.get("kind", "dense_gaussian")
-    if kind not in sensing.KINDS:
-        raise ConfigError(f"sensing.kind: unknown kind {kind!r}")
-    n = _require(sense_cfg, "n", "sensing")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError("sensing.n must be a positive integer")
-    if kind == "partial_circulant" and n > decoder.ambient_dim:
-        raise ConfigError("sensing.n must be <= decoder p for partial_circulant")
-
-    solver_cfg = _section(cfg, "solver")
-    solver_kind = _require(solver_cfg, "kind", "solver")
-    if solver_kind not in ("pgd_glasso", "pgd_nlasso", "csgm"):
-        raise ConfigError(f"solver.kind: unknown kind {solver_kind!r}")
-    if solver_kind == "pgd_nlasso" and not link.differentiable:
-        raise UnsupportedOperationError(
-            "pgd_nlasso needs a differentiable link")
-    try:
-        proj = projection.projection_from_json(
-            _section(solver_cfg, "projection", "solver", required=False))
-        default_step = (solvers.ZETA_DEFAULT if solver_kind == "pgd_nlasso"
-                        else solvers.NU_DEFAULT)
+    sense, solver, exp = cfg["sensing"], cfg["solver"], cfg.get("experiment", {})
+    with _reported("decoder"):
+        decoder = genmodel.decoder_from_json(
+            {"seed": derive_seed(master, "decoder"), **cfg["decoder"]})
+    link_args = dict(cfg["link"])
+    with _reported("link"):
+        link = getattr(measurement, link_args.pop("kind") + "_link")(**link_args)
+    # the operator is drawn per trial, so its size is checked here
+    n, circulant = sense["n"], sense.get("kind") == "partial_circulant"
+    if n < 1 or (circulant and n > decoder.ambient_dim):
+        raise ConfigError(f"sensing.n: must be >= 1, and <= decoder.p for "
+                          f"partial_circulant; got {n}")
+    nlasso = solver["kind"] == "pgd_nlasso"
+    if nlasso and not link.differentiable:
+        raise UnsupportedOperationError("pgd_nlasso needs a differentiable link")
+    with _reported("solver"):
         scfg = solvers.SolverConfig(
-            step_size=solver_cfg.get("step_size", default_step),
-            iterations=solver_cfg.get("iterations", solvers.ITERATIONS_DEFAULT),
-            projection=proj,
-            x0_mode=solver_cfg.get("x0_mode", "zero"),
-            seed=0)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"solver: {e}") from e
-
-    exp = _section(cfg, "experiment", required=False)
-    observation = exp.get("observation", "auto")
-    if observation not in ("sim", "known", "auto"):
-        raise ConfigError(f"experiment.observation: unknown mode {observation!r}")
+            step_size=solver.get("step_size", solvers.ZETA_DEFAULT if nlasso
+                                 else solvers.NU_DEFAULT),
+            projection=projection.projection_from_json(
+                solver.get("projection", {})),
+            **_args(solver, iterations="iterations", x0_mode="x0_mode"))
     setup = analysis.TrialSetup(
-        decoder=decoder, link=link, solver_kind=solver_kind,
-        solver_cfg=scfg, sensing_kind=kind, observation=observation,
-        delta=exp.get("delta", 1e-3))
+        decoder=decoder, link=link, solver_kind=solver["kind"],
+        solver_cfg=scfg, **_args(sense, kind="sensing_kind"),
+        **_args(exp, observation="observation", delta="delta"))
     return setup, n, master, out_dir
-
-
-def _build_link(link_cfg):
-    kind = _require(link_cfg, "kind", "link")
-    if isinstance(kind, str) and kind in LINK_KEYS:
-        _known_keys(link_cfg, LINK_KEYS[kind], "link")
-    sigma = link_cfg.get("sigma", 0.0)
-    tau = link_cfg.get("tau", 0.0)
-    try:
-        if kind == "linear":
-            return measurement.linear_link(sigma=sigma, tau=tau)
-        if kind == "shifted_cosine":
-            return measurement.shifted_cosine_link(sigma=sigma, tau=tau)
-        if kind == "sign_dithered":
-            return measurement.sign_dithered_link(
-                sigma_d=link_cfg.get("sigma_d", 0.0), tau=tau)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"link: {e}") from e
-    raise ConfigError(f"link.kind: unknown kind {kind!r} "
-                      "(custom links are library-only)")
 
 
 def _instance_doc(cfg, setup, n, master):
@@ -464,10 +461,8 @@ def _write_json(path, doc):
 def _threads(args):
     """Worker count from GENPRIOR_THREADS or --threads, in [1, cpu count]."""
     env = os.environ.get("GENPRIOR_THREADS")
-    try:
+    with _reported("GENPRIOR_THREADS"):
         n = int(env) if env else args.threads
-    except ValueError as e:
-        raise ConfigError(f"GENPRIOR_THREADS: {e}") from e
     return min(max(1, n), os.cpu_count() or 1)
 
 

@@ -8,6 +8,7 @@ activations used here are all 1-Lipschitz).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,12 @@ class GenerativeDecoder:
     lipschitz: float = field(default=0.0)
 
     def __post_init__(self):
+        if not 1 <= self.latent_dim <= self.ambient_dim:
+            raise ValueError(f"need 1 <= k <= p, got k = {self.latent_dim}, "
+                             f"p = {self.ambient_dim}")
+        if not 0 < self.latent_radius < math.inf:
+            raise ValueError("r must be finite and positive, "
+                             f"got {self.latent_radius}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         dims = [self.latent_dim]
@@ -71,18 +78,12 @@ def decoder_new(seed, k, hidden_dims, p, r, activation="tanh", weight_scale=1.0)
 
     Biases are zero. Empty ``hidden_dims`` yields a single linear layer.
     """
-    if k < 1 or p < 1:
-        raise ValueError("dimensions must be positive")
-    if p < k:
-        raise ValueError("ambient dim must be >= latent dim")
-    if r <= 0:
-        raise ValueError("latent radius must be positive")
-    if weight_scale <= 0:
-        raise ValueError("weight scale must be positive")
-    if any(int(h) < 1 for h in hidden_dims):
-        raise ValueError("hidden dims must be positive")
-    rng = np.random.default_rng(seed)
+    if not 0 < weight_scale < math.inf:
+        raise ValueError("weight scale must be finite and positive")
     dims = [int(k)] + [int(h) for h in hidden_dims] + [int(p)]
+    if min(dims[:-1]) < 1:  # each fan-in divides a weight std
+        raise ValueError("k and hidden dims must be positive")
+    rng = np.random.default_rng(seed)
     layers = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         w = rng.standard_normal((d_out, d_in)) * (weight_scale / np.sqrt(d_in))
@@ -117,8 +118,6 @@ def orthonormal_linear_decoder(seed, k, p, r):
     Projection onto the range of this decoder has a closed form, which makes
     it the exact-projection oracle used in tests.
     """
-    if p < k:
-        raise ValueError("need p >= k for orthonormal columns")
     rng = np.random.default_rng(seed)
     q, rmat = np.linalg.qr(rng.standard_normal((p, k)))
     q = q * np.sign(np.diag(rmat))  # canonical sign, deterministic

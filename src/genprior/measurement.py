@@ -81,7 +81,7 @@ def shifted_cosine_link(sigma=0.0, tau=0.0):
     return _finish(LinkModel("shifted_cosine", 1.5, 2.5, sigma=sigma, tau=tau))
 
 
-def sign_dithered_link(sigma_d, tau=0.0):
+def sign_dithered_link(sigma_d=0.0, tau=0.0):
     """Dithered one-bit link f(t) = sign(t + e), e ~ N(0, sigma_d^2).
 
     Outputs are in {-1, +1} (ties at zero map to +1). Not differentiable, so

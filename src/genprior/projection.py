@@ -48,7 +48,7 @@ class ProjectionConfig:
     def __post_init__(self):
         if self.steps < 1 or self.restarts < 1:
             raise ValueError("steps and restarts must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning rate must be positive")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
@@ -136,15 +136,10 @@ def projection_to_json(cfg):
 
 
 def projection_from_json(doc):
-    return ProjectionConfig(
-        steps=doc.get("steps", 200),
-        learning_rate=doc.get("lr", 0.03),
-        restarts=doc.get("restarts", 1),
-        optimizer=doc.get("optimizer", "adam_style"),
-        init=doc.get("init", "gaussian"),
-        ball_handling=doc.get("ball_handling", "project_each_step"),
-        method=doc.get("method", "descent"),
-    )
+    """The config of a ``projection_to_json`` document; absent keys keep
+    their defaults."""
+    return ProjectionConfig(**{"learning_rate" if key == "lr" else key: value
+                               for key, value in doc.items()})
 
 
 def _start_latents(decoder, cfg, seed, label, warm_start):

@@ -44,6 +44,7 @@ ZETA_DEFAULT = 0.2        # replication step size, known link
 ZETA_THEORY = 0.23        # inside the contraction window (1/(2l^2), 3/(2u^2))
                           # for l=1.5, u=2.5; ZETA_DEFAULT sits outside it
 ITERATIONS_DEFAULT = 30
+X0_MODES = ("zero", "random_range_point", "given")
 
 
 @dataclass(frozen=True)
@@ -52,17 +53,17 @@ class SolverConfig:
     iterations: int = ITERATIONS_DEFAULT
     projection: projection.ProjectionConfig = field(
         default_factory=projection.ProjectionConfig)
-    x0_mode: str = "zero"  # zero | random_range_point | given
+    x0_mode: str = "zero"
     x0: np.ndarray | None = None
     record_trajectory: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ValueError("step size must be positive")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.x0_mode not in ("zero", "random_range_point", "given"):
+        if self.x0_mode not in X0_MODES:
             raise ValueError(f"unknown x0 mode {self.x0_mode!r}")
         if self.x0_mode == "given" and self.x0 is None:
             raise ValueError("x0_mode 'given' requires x0")

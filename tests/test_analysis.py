@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,6 +257,14 @@ class TestRateExperiment:
                                   observation="known")
         with pytest.raises(ValueError):
             analysis.rate_experiment([40], 10, bad, seed=0)
+
+    @pytest.mark.parametrize("factor", [-1.0, 0.0, 1.0, 1000.0, float("nan")])
+    def test_delta_outside_zero_to_lr_rejected(self, factor):
+        setup = tiny_noiseless_setup()
+        lr = genmodel.lipschitz_bound(setup.decoder) * setup.decoder.latent_radius
+        with pytest.raises(ValueError, match=r"delta must be in \(0, L r\)"):
+            analysis.rate_experiment([40], 10,
+                                     replace(setup, delta=factor * lr), seed=0)
 
     def test_serialization(self, tmp_path):
         table = analysis.rate_experiment([40, 80], 10, tiny_noiseless_setup(),

@@ -3,8 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from genprior import analysis, cli
 
@@ -23,6 +26,35 @@ def write_config(path, **overrides):
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return cfg
+
+
+def set_key(cfg, name, value):
+    """Set the config key called name, such as "solver.projection.lr", to
+    value, or delete it when value is ABSENT; sections are created as needed,
+    and nothing is set below a section that is not an object."""
+    *sections, key = name.split(".")
+    for section in sections:
+        cfg = cfg.setdefault(section, {})
+        if not isinstance(cfg, dict):
+            return
+    if value is ABSENT:
+        cfg.pop(key, None)
+    else:
+        cfg[key] = value
+
+
+ABSENT = object()
+
+
+def schema_keys():
+    """Every key the config schema names, as section.key."""
+    keys = []
+    for name, table in cli.SCHEMA.items():
+        if isinstance(table, tuple):  # keys per variant
+            key, _, tables = table
+            table = {key: None, **{k: None for t in tables.values() for k in t}}
+        keys += [k if name == "config" else f"{name}.{k}" for k in table]
+    return keys
 
 
 def read_tree(root):
@@ -124,6 +156,19 @@ class TestRate:
         assert cli.main(["rate", "--config", str(cfg_path), "--out", str(b),
                          "--quiet"]) == 0
         assert read_tree(a) == read_tree(b)
+
+    @pytest.mark.parametrize("command", ["solve", "rate"])
+    def test_out_is_an_existing_file(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, experiment={"grid": [40], "trials": 10})
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        assert cli.main([command, "--config", str(cfg_path), "--out",
+                         str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output directory:")
+        assert str(out) in err and err.count("\n") == 1
+        assert out.read_text() == "keep"
 
     def test_threads_capped_at_cpu_count(self, monkeypatch):
         # _threads only computes the worker count; no pool is started
@@ -262,6 +307,13 @@ class TestCheck:
         assert err.startswith("config error: check adjoint:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_n_rejected(self, capsys, n):
+        assert cli.main(["check", "tsrec", "--n", n]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: check tsrec: --n must be >= 1, got {n}\n"
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             cli.main(["check", "nonexistent"])
@@ -293,6 +345,26 @@ class TestModel:
 
     def test_info_on_missing_file(self, capsys):
         assert cli.main(["model", "info", "/nonexistent/decoder.json"]) == 2
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["--r", "nan"], "config error: model new: r must be finite"),
+        (["--family", "identity", "--r", "-1"],
+         "config error: model new: r must be finite"),
+        (["--hidden", "a"], "config error: --hidden:"),
+    ])
+    def test_new_bad_flag(self, capsys, argv, prefix):
+        assert cli.main(["model", "new", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+    def test_new_out_in_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "dec.json"
+        assert cli.main(["model", "new", "--k", "2", "--hidden", "",
+                         "--p", "4", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out:")
+        assert str(path) in err and err.count("\n") == 1
 
     def test_info_on_mistyped_field(self, tmp_path, capsys):
         path = tmp_path / "dec.json"
@@ -334,11 +406,11 @@ class TestConfigErrors:
         assert cli.main(["solve", "--config", str(cfg_path), "--quiet"]) == 2
 
     @staticmethod
-    def _rejected(tmp_path, capsys, **overrides):
+    def _rejected(tmp_path, capsys, command="solve", **overrides):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, **overrides)
         out = tmp_path / "out"
-        code = cli.main(["solve", "--config", str(cfg_path), "--out", str(out),
+        code = cli.main([command, "--config", str(cfg_path), "--out", str(out),
                          "--quiet"])
         err = capsys.readouterr().err
         assert not out.exists()
@@ -407,6 +479,75 @@ class TestConfigErrors:
         assert code == 2
         assert err.startswith(f"config error: {name}: unknown key")
         assert err.count("\n") == 1
+
+    # Values the schema's types reject name the key as section.key; range
+    # errors from a library constructor are prefixed with their section.
+    @pytest.mark.parametrize("command, keys, prefix", [
+        ("rate", {"experiment.trials": "x"}, "experiment.trials: expected"),
+        ("rate", {"experiment.trials": 10.5}, "experiment.trials: expected"),
+        ("rate", {"experiment.delta": "x"}, "experiment.delta: expected"),
+        ("rate", {"experiment.grid": 40}, "experiment.grid: expected"),
+        ("rate", {"experiment.grid": "ab"}, "experiment.grid: expected"),
+        ("solve", {"solver.iterations": 2.5}, "solver.iterations: expected"),
+        ("solve", {"solver.projection.steps": 2.5},
+         "solver.projection.steps: expected"),
+        ("solve", {"solver.projection.restarts": 1.5},
+         "solver.projection.restarts: expected"),
+        ("solve", {"out_dir": 5}, "out_dir: expected"),
+        ("solve", {"master_seed": "abc"}, "master_seed: expected"),
+        ("solve", {"master_seed": 1.5}, "master_seed: expected"),
+        ("solve", {"solver.projection.lr": True},
+         "solver.projection.lr: expected"),
+        ("solve", {"decoder.r": "3"}, "decoder.r: expected"),
+        ("solve", {"decoder.r": float("nan")}, "decoder.r: expected"),
+        ("solve", {"decoder.r": 10 ** 400}, "decoder.r: expected"),
+        ("solve", {"decoder.r": -1}, "decoder: r must be finite and positive"),
+        ("solve", {"decoder": {"family": "identity", "k": 3, "r": -1}},
+         "decoder: r must be finite and positive"),
+        ("rate", {"experiment.delta": -1}, "experiment: delta must be in"),
+        ("rate", {"experiment.delta": 5000}, "experiment: delta must be in"),
+    ])
+    def test_bad_value(self, tmp_path, capsys, command, keys, prefix):
+        cfg = write_config(tmp_path / "cfg.json",
+                           experiment={"grid": [40], "trials": 10})
+        for name, value in keys.items():
+            set_key(cfg, name, value)
+        code, err = self._rejected(tmp_path, capsys, command, **cfg)
+        assert code == 2
+        assert err.startswith(f"config error: {prefix}")
+        assert err.count("\n") == 1
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(
+        st.sampled_from(schema_keys()),
+        st.sampled_from([None, True, -1, 0, 0.5, 2, float("nan"), "x", [], {},
+                         [1], ABSENT])), min_size=1, max_size=3))
+    def test_fuzzed_config(self, tmp_path, capsys, edits):
+        # the pool holds no large number, so no draw starts a long run, and
+        # --out keeps a fuzzed out_dir from writing anywhere
+        cfg = write_config(tmp_path / "cfg.json")
+        for name, value in edits:
+            set_key(cfg, name, value)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        with tempfile.TemporaryDirectory(dir=tmp_path) as out, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["solve", "--config", str(tmp_path / "cfg.json"),
+                             "--out", out, "--quiet"])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert not caught
+
+    def test_readme_lists_every_schema_key(self):
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "README.md")).read()
+        section = readme[readme.index("### Config schema"):]
+        section = section[:section.index("\n## ")]
+        missing = [k for k in schema_keys() if f"`{k}`" not in section]
+        assert not missing
 
     def test_readme_config_example_loads(self):
         readme = open(os.path.join(os.path.dirname(__file__), os.pardir,

@@ -48,6 +48,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             genmodel.decoder_new(0, 2, [], 4, 1.0, weight_scale=0.0)
 
+    @pytest.mark.parametrize("r", [-1.0, float("nan")])
+    @pytest.mark.parametrize("build", [
+        lambda r: genmodel.decoder_new(0, 2, [3], 4, r),
+        lambda r: genmodel.orthonormal_linear_decoder(0, 2, 4, r),
+        lambda r: genmodel.identity_decoder(2, r)])
+    def test_radius_must_be_finite_and_positive(self, build, r):
+        with pytest.raises(ValueError, match="r must be finite and positive"):
+            build(r)
+
+    @pytest.mark.parametrize("k, p", [(0, 4), (3, 2)])
+    def test_orthonormal_dimensions_checked(self, k, p):
+        with pytest.raises(ValueError, match="need 1 <= k <= p"):
+            genmodel.orthonormal_linear_decoder(0, k, p, 1.0)
+
+    def test_nan_weight_scale_rejected(self):
+        with pytest.raises(ValueError, match="weight scale"):
+            genmodel.decoder_new(0, 2, [], 4, 1.0, weight_scale=float("nan"))
+
     def test_empty_hidden_dims_allowed(self):
         dec = genmodel.decoder_new(0, 2, [], 6, 1.0)
         assert len(dec.layers) == 1

@@ -193,11 +193,13 @@ class TestConfig:
         assert back.steps == 77 and back.optimizer == "momentum"
         assert back.ball_handling == "project_at_end"
         assert back.method == "exact_linear" and back.init == "zero"
+        assert projection.projection_from_json({}) == ProjectionConfig()
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ProjectionConfig(steps=0)
-        with pytest.raises(ValueError):
-            ProjectionConfig(learning_rate=-1.0)
+        for lr in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="learning rate"):
+                ProjectionConfig(learning_rate=lr)
         with pytest.raises(ValueError):
             ProjectionConfig(optimizer="lbfgs")

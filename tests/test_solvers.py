@@ -294,8 +294,9 @@ class TestTrajectoryCsv:
 
 class TestSolverConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(step_size=0.0)
+        for step in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="step size"):
+                SolverConfig(step_size=step)
         with pytest.raises(ValueError):
             SolverConfig(step_size=1.0, iterations=0)
         with pytest.raises(ValueError):
