@@ -7,7 +7,7 @@ verification suite for the concentration conditions behind the convergence
 guarantees.
 """
 
-from . import analysis, cli, genmodel, measurement, projection, sensing, solvers
+from . import analysis, genmodel, measurement, projection, sensing, solvers
 from .errors import ConfigError, InsufficientDataError, UnsupportedOperationError
 from .seeding import derive_seed
 
@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "analysis",
-    "cli",
     "genmodel",
     "measurement",
     "projection",

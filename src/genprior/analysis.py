@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 WNU_SLACK = 0.05  # finite-sample allowance on the inner-product bound
+N_CAP = 100_000  # largest measurement count of a solve or a rate grid point
 OPERATOR_BUDGET = 2 ** 19  # dense operator cells (4 MiB) of one trial group
 CHECK_BLOCK = 16  # range pairs sampled, decoded and measured per batch
 
@@ -470,7 +471,7 @@ class RateTable:
     solver_kind: str
 
 
-def rate_experiment(grid, trials, setup, seed, threads=1, n_cap=100_000):
+def rate_experiment(grid, trials, setup, seed, threads=1):
     """Median recovery error across a grid of measurement counts.
 
     Each grid point runs ``trials`` independent draws; medians are fitted
@@ -485,8 +486,8 @@ def rate_experiment(grid, trials, setup, seed, threads=1, n_cap=100_000):
         raise ValueError("grid must be nonempty")
     if trials < 10:
         raise ValueError("need at least 10 trials per grid point")
-    if max(grid) > n_cap:
-        raise ValueError("grid exceeds the size cap")
+    for n in grid:
+        _check_n(n, setup.sensing_kind, setup.decoder.ambient_dim, "grid")
     if not setup.matched():
         raise ValueError("rate experiment needs a solver matching the "
                          "observation model so the error target is defined")
@@ -524,6 +525,14 @@ def rate_experiment(grid, trials, setup, seed, threads=1, n_cap=100_000):
     return RateTable(rows, c, decoder.latent_dim, decoder.ambient_dim,
                      lip, decoder.latent_radius, setup.delta,
                      setup.link.kind, setup.solver_kind)
+
+
+def _check_n(n, kind, p, key):
+    """Reject, before any draw, a measurement count n outside [1, N_CAP],
+    or above p for partial_circulant; the message names the key."""
+    cap = min(N_CAP, p) if kind == "partial_circulant" else N_CAP
+    if not 1 <= n <= cap:
+        raise ValueError(f"{key}: need 1 <= n <= {cap}, got {n}")
 
 
 def _split_trials(seeds, cells):

@@ -412,10 +412,9 @@ def _build_setup(cfg, args):
     with _reported("link"):
         link = getattr(measurement, link_args.pop("kind") + "_link")(**link_args)
     # the operator is drawn per trial, so its size is checked here
-    n, circulant = sense["n"], sense.get("kind") == "partial_circulant"
-    if n < 1 or (circulant and n > decoder.ambient_dim):
-        raise ConfigError(f"sensing.n: must be >= 1, and <= decoder.p for "
-                          f"partial_circulant; got {n}")
+    n = sense["n"]
+    with _reported("sensing"):
+        analysis._check_n(n, sense.get("kind"), decoder.ambient_dim, "n")
     nlasso = solver["kind"] == "pgd_nlasso"
     if nlasso and not link.differentiable:
         raise UnsupportedOperationError("pgd_nlasso needs a differentiable link")

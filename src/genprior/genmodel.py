@@ -25,7 +25,6 @@ __all__ = [
     "vjp",
     "lipschitz_bound",
     "sample_latent",
-    "out_of_ball",
     "decoder_to_json",
     "decoder_from_json",
 ]
@@ -54,12 +53,7 @@ class GenerativeDecoder:
     lipschitz: float = field(default=0.0)
 
     def __post_init__(self):
-        if not 1 <= self.latent_dim <= self.ambient_dim:
-            raise ValueError(f"need 1 <= k <= p, got k = {self.latent_dim}, "
-                             f"p = {self.ambient_dim}")
-        if not 0 < self.latent_radius < math.inf:
-            raise ValueError("r must be finite and positive, "
-                             f"got {self.latent_radius}")
+        _check_dims(self.latent_dim, self.ambient_dim, self.latent_radius)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         dims = [self.latent_dim]
@@ -73,16 +67,26 @@ class GenerativeDecoder:
             raise ValueError("last layer output dim != ambient dim")
 
 
+def _check_dims(k, p, r):
+    """The checks on k, p and r that every decoder family shares; factories
+    run them before drawing weights."""
+    if not 1 <= k <= p:
+        raise ValueError(f"need 1 <= k <= p, got k = {k}, p = {p}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"r must be finite and positive, got {r}")
+
+
 def decoder_new(seed, k, hidden_dims, p, r, activation="tanh", weight_scale=1.0):
     """Build a decoder with Gaussian weights of std weight_scale/sqrt(fan_in).
 
     Biases are zero. Empty ``hidden_dims`` yields a single linear layer.
     """
+    _check_dims(k, p, r)
     if not 0 < weight_scale < math.inf:
         raise ValueError("weight scale must be finite and positive")
     dims = [int(k)] + [int(h) for h in hidden_dims] + [int(p)]
     if min(dims[:-1]) < 1:  # each fan-in divides a weight std
-        raise ValueError("k and hidden dims must be positive")
+        raise ValueError("hidden dims must be positive")
     rng = np.random.default_rng(seed)
     layers = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
@@ -105,6 +109,7 @@ def decoder_new(seed, k, hidden_dims, p, r, activation="tanh", weight_scale=1.0)
 
 def identity_decoder(k, r=1.0):
     """Decoder with a single identity layer: forward(z) = z."""
+    _check_dims(k, k, r)
     layers = ((np.eye(k), np.zeros(k)),)
     dec = GenerativeDecoder(k, k, float(r), layers, "identity", 0, 1.0,
                             family="identity")
@@ -118,6 +123,7 @@ def orthonormal_linear_decoder(seed, k, p, r):
     Projection onto the range of this decoder has a closed form, which makes
     it the exact-projection oracle used in tests.
     """
+    _check_dims(k, p, r)
     rng = np.random.default_rng(seed)
     q, rmat = np.linalg.qr(rng.standard_normal((p, k)))
     q = q * np.sign(np.diag(rmat))  # canonical sign, deterministic
@@ -129,20 +135,12 @@ def orthonormal_linear_decoder(seed, k, p, r):
 
 
 def forward(decoder, z):
-    """Evaluate the decoder at a latent point.
-
-    Points outside the latent ball still evaluate; callers that care use
-    ``out_of_ball`` as the diagnostic.
-    """
+    """Evaluate the decoder at a latent point; points outside the latent
+    ball still evaluate."""
     z = np.asarray(z, dtype=float)
     if z.shape != (decoder.latent_dim,):
         raise ValueError(f"latent vector must have length {decoder.latent_dim}")
     return _forward_cached(decoder, z)[0]
-
-
-def out_of_ball(decoder, z):
-    """True when z lies outside the decoder's latent ball."""
-    return float(np.linalg.norm(z)) > decoder.latent_radius
 
 
 def vjp(decoder, z, v):

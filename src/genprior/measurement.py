@@ -8,7 +8,6 @@ and its gain mu = E[f(g) g] for standard normal g.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,12 +29,9 @@ __all__ = [
     "observe_known",
     "corrupt",
     "mu_of_link",
-    "psi_estimate",
-    "observation_to_csv",
 ]
 
 QUAD_NODES = 200          # Gauss-Hermite nodes for deterministic links
-PSI_DEFAULT_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -211,29 +207,6 @@ def mu_of_link(link):
     nodes, weights = np.polynomial.hermite_e.hermegauss(QUAD_NODES)
     vals = link_eval(link, nodes) * nodes
     return float(weights @ vals / np.sqrt(2.0 * np.pi))
-
-
-def psi_estimate(link, samples=PSI_DEFAULT_SAMPLES, seed=0):
-    """Empirical sub-Gaussian norm of f(g): max over q in 1..10 of
-    q^{-1/2} (E|f(g)|^q)^{1/q}. Diagnostic only."""
-    if samples < 10_000:
-        raise ValueError("need at least 1e4 samples")
-    g = np.random.default_rng(derive_seed(seed, "g")).standard_normal(samples)
-    vals = np.abs(link_eval(link, g, seed=derive_seed(seed, "e")))
-    best = 0.0
-    for q in range(1, 11):
-        m = float(np.mean(vals ** q)) ** (1.0 / q)
-        best = max(best, m / np.sqrt(q))
-    return best
-
-
-def observation_to_csv(obs, path):
-    """Dump measurements as rows (i, y_clean, y_tilde)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "y_clean", "y_tilde"])
-        for i, (yc, yt) in enumerate(zip(obs.y_clean, obs.y_tilde)):
-            w.writerow([i, repr(float(yc)), repr(float(yt))])
 
 
 def _finish(link):

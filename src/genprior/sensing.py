@@ -12,22 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import derive_seed
-
 __all__ = [
     "SensingOperator",
     "sensing_new",
     "apply",
     "adjoint_apply",
-    "materialize",
-    "spectral_norm_estimate",
-    "sensing_to_json",
-    "sensing_from_json",
 ]
 
 KINDS = ("dense_gaussian", "partial_circulant")
-
-MATERIALIZE_GUARD = 10_000_000  # refuse dense materialization above n*p cells
 
 
 @dataclass(frozen=True)
@@ -97,27 +89,6 @@ def _checked(x, length):
     return x
 
 
-def materialize(op):
-    """Dense n x p matrix realizing the operator; test oracle only."""
-    if op.n * op.p > MATERIALIZE_GUARD:
-        raise ValueError("materialize refused: n*p exceeds guard")
-    if op.kind == "dense_gaussian":
-        return op.matrix.copy()
-    cols = np.empty((op.n, op.p))
-    e = np.zeros(op.p)
-    for j in range(op.p):
-        e[j] = 1.0
-        cols[:, j] = apply(op, e)
-        e[j] = 0.0
-    return cols
-
-
-def spectral_norm_estimate(op, tol=1e-8, max_iter=10_000):
-    """||A|| by power iteration on A^T A."""
-    return _power_norm(lambda v: apply(op, v), lambda u: adjoint_apply(op, u),
-                       op.p, derive_seed(op.seed, "specnorm"), tol, max_iter)
-
-
 def _power_norm(matvec, rmatvec, dim, seed, tol=1e-8, max_iter=10_000):
     """Top singular value of the map v -> matvec(v), whose adjoint is rmatvec,
     by power iteration on its normal operator from a Gaussian start."""
@@ -136,14 +107,6 @@ def _power_norm(matvec, rmatvec, dim, seed, tol=1e-8, max_iter=10_000):
             return float(np.linalg.norm(matvec(v)))
         sigma = sigma_new
     return float(sigma)
-
-
-def sensing_to_json(op):
-    return {"kind": op.kind, "n": op.n, "p": op.p, "seed": op.seed}
-
-
-def sensing_from_json(doc):
-    return sensing_new(doc["kind"], doc["n"], doc["p"], doc["seed"])
 
 
 def _cyclic_convolve(g, x):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -55,7 +54,6 @@ class SolverConfig:
         default_factory=projection.ProjectionConfig)
     x0_mode: str = "zero"
     x0: np.ndarray | None = None
-    record_trajectory: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -74,7 +72,6 @@ class Trajectory:
     loss_values: list = field(default_factory=list)
     error_to_target: list = field(default_factory=list)
     contraction_ratios: list = field(default_factory=list)
-    iterates: list | None = None
 
 
 def loss_glasso(op, y_tilde, x):
@@ -86,8 +83,7 @@ def loss_glasso(op, y_tilde, x):
 
 def grad_glasso(op, y_tilde, x):
     """(1/n) A^T (A x - y)."""
-    y_tilde = _check_measurements(op, y_tilde)
-    return sensing.adjoint_apply(op, sensing.apply(op, x) - y_tilde) / op.n
+    return _fit(op, _check_measurements(op, y_tilde), None, x)[1]
 
 
 def loss_nlasso(op, y_tilde, link, x):
@@ -101,10 +97,7 @@ def loss_nlasso(op, y_tilde, link, x):
 def grad_nlasso(op, y_tilde, link, x):
     """(1/n) A^T ((f(A x) - y) . f'(A x))."""
     _require_differentiable(link)
-    y_tilde = _check_measurements(op, y_tilde)
-    t = sensing.apply(op, x)
-    return sensing.adjoint_apply(
-        op, (link_eval(link, t) - y_tilde) * link_deriv(link, t)) / op.n
+    return _fit(op, _check_measurements(op, y_tilde), link, x)[1]
 
 
 def pgd_glasso(op, y_tilde, decoder, cfg, target=None):
@@ -193,9 +186,12 @@ def _solve_group(kind, ops, ys, link, decoder, cfg, seeds, targets,
 
     Trial t has its own operator ops[t], measurements ys[t], error target
     targets[t] (or None) and seed seeds[t], which stands in for cfg.seed.
-    Each trial's result matches its own solve to round-off: the trials
-    share only the batched latent descents, whose rows never mix.
+    The link is used by pgd_nlasso only. Each trial's result matches its
+    own solve to round-off: the trials share only the batched latent
+    descents, whose rows never mix.
     """
+    if kind not in ("pgd_glasso", "pgd_nlasso", "csgm"):
+        raise ValueError(f"unknown solver kind {kind!r}")
     if kind == "pgd_nlasso":
         _require_differentiable(link)
     if not ops:
@@ -204,36 +200,43 @@ def _solve_group(kind, ops, ys, link, decoder, cfg, seeds, targets,
     if kind == "csgm":
         return _csgm_group(ops, ys, decoder, cfg, seeds, targets,
                            warm_starts or [None] * len(ops))
-    if kind == "pgd_glasso":
-        grads = [partial(grad_glasso, op, y) for op, y in zip(ops, ys)]
-        losses = [partial(loss_glasso, op, y) for op, y in zip(ops, ys)]
-    elif kind == "pgd_nlasso":
-        grads = [partial(grad_nlasso, op, y, link) for op, y in zip(ops, ys)]
-        losses = [partial(loss_nlasso, op, y, link) for op, y in zip(ops, ys)]
+    return _pgd_loop(ops, ys, link if kind == "pgd_nlasso" else None,
+                     decoder, cfg, seeds, targets)
+
+
+def _fit(op, y, link, x):
+    """Loss (1/2n)||f(A x) - y||^2 and its gradient
+    (1/n) A^T ((f(A x) - y) . f'(A x)) from one product A x; f is the
+    identity when link is None."""
+    t = sensing.apply(op, x)
+    if link is None:
+        r = t - y
+        g = sensing.adjoint_apply(op, r)
     else:
-        raise ValueError(f"unknown solver kind {kind!r}")
-    return _pgd_loop(decoder, cfg, seeds, grads, losses, targets)
+        r = link_eval(link, t) - y
+        g = sensing.adjoint_apply(op, r * link_deriv(link, t))
+    return float(r @ r) / (2.0 * op.n), g / op.n
 
 
-def _pgd_loop(decoder, cfg, seeds, grads, losses, targets):
-    """PGD on the rows of X, (T, p): row t takes trial t's own gradient and
-    loss, and all T projections of an iteration run as one latent batch."""
-    keep = cfg.record_trajectory
+def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
+    """PGD on the rows of X, (T, p): row t takes its loss and gradient from
+    trial t's own operator and measurements, and all T projections of an
+    iteration run as one latent batch."""
     x = np.array([_initial_point(decoder, cfg, s) for s in seeds])
-    trajs = [Trajectory(iterates=[] if keep else None) for _ in seeds]
-    for xt, traj, loss, tgt in zip(x, trajs, losses, targets):
-        _record(traj, xt, loss(xt), tgt, keep)
+    trajs = [Trajectory() for _ in seeds]
     z_warm = [None] * len(seeds)
-    for t in range(cfg.iterations):
-        v = np.array([xt - cfg.step_size * grad(xt)
-                      for xt, grad in zip(x, grads)])
+    for t in range(cfg.iterations + 1):
+        fits = [_fit(op, y, link, xt) for op, y, xt in zip(ops, ys, x)]
+        for xt, traj, (loss, _), tgt in zip(x, trajs, fits, targets):
+            _record(traj, xt, loss, tgt)
+        if t == cfg.iterations:
+            break
+        v = x - cfg.step_size * np.array([g for _, g in fits])
         pres = projection._project_rows(
             decoder, v, cfg.projection,
             [derive_seed(s, "project", t) for s in seeds], z_warm)
         x = np.array([r.x_hat for r in pres])
         z_warm = [r.z_hat for r in pres]
-        for xt, traj, loss, tgt in zip(x, trajs, losses, targets):
-            _record(traj, xt, loss(xt), tgt, keep)
     for traj in trajs:
         _fill_ratios(traj)
     return list(zip(x, trajs))
@@ -246,8 +249,7 @@ def _csgm_group(ops, ys, decoder, cfg, seeds, targets, warm_starts):
         projection._start_latents(decoder, pcfg, s, "csgm-restart", w)
         for s, w in zip(seeds, warm_starts)])
     owner = projection._owners(len(ops), pcfg.restarts)
-    trajs = [Trajectory(iterates=[] if cfg.record_trajectory else None)
-             for _ in z0]
+    trajs = [Trajectory() for _ in z0]
 
     def objective(fz):
         # the end-of-run clip of project_at_end is evaluated, not recorded
@@ -255,13 +257,9 @@ def _csgm_group(ops, ys, decoder, cfg, seeds, targets, warm_starts):
         loss = np.empty(len(fz))
         grad = np.empty_like(fz)
         for i, (xv, t) in enumerate(zip(fz, owner)):
-            op = ops[t]
-            r = sensing.apply(op, xv) - ys[t]
-            loss[i] = float(r @ r) / (2.0 * op.n)
-            grad[i] = sensing.adjoint_apply(op, r) / op.n
+            loss[i], grad[i] = _fit(ops[t], ys[t], None, xv)
             if note:
-                _record(trajs[i], xv, float(loss[i]), targets[t],
-                        cfg.record_trajectory)
+                _record(trajs[i], xv, float(loss[i]), targets[t])
         return loss, grad
 
     z, loss, _ = projection._descend(decoder, pcfg, z0, objective)
@@ -285,12 +283,10 @@ def _initial_point(decoder, cfg, seed):
     return genmodel.forward(decoder, z0)
 
 
-def _record(traj, x, loss, target, keep_iterate):
+def _record(traj, x, loss, target):
     traj.loss_values.append(loss)
     if target is not None:
         traj.error_to_target.append(float(np.linalg.norm(x - target)))
-    if keep_iterate:
-        traj.iterates.append(x.copy())
 
 
 def _fill_ratios(traj):

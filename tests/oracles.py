@@ -21,6 +21,23 @@ def mu_mc_estimate(link, samples, seed):
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
 
 
+def materialize(op):
+    """Dense n x p matrix of the operator, built entry by entry from its
+    definition A = R_Omega circ(g) D_xi with circ(g)_ij = g_(i-j mod p);
+    the oracle for the FFT path of ``sensing.apply``."""
+    if op.kind == "dense_gaussian":
+        return op.matrix.copy()
+    i, j = np.ogrid[:op.p, :op.p]
+    return op.gen[(i - j) % op.p][op.omega] * op.signs
+
+
+def spectral_norm(op, tol):
+    """||A|| by the library's power iteration, ``sensing._power_norm``."""
+    return sensing._power_norm(lambda v: sensing.apply(op, v),
+                               lambda u: sensing.adjoint_apply(op, u),
+                               op.p, derive_seed(op.seed, "specnorm"), tol)
+
+
 def sample_latent(decoder, seed, inset=0.9):
     """One uniform draw from the ball of radius inset * r, sampled alone;
     the oracle for ``genmodel._sample_latents``."""

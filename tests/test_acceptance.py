@@ -18,6 +18,7 @@ from genprior import analysis, cli, genmodel, measurement, sensing, solvers
 from genprior.projection import ProjectionConfig
 from genprior.seeding import derive_seed
 from genprior.solvers import SolverConfig
+import oracles
 from oracles import MU_MC_SEED, mu_mc_estimate
 
 
@@ -60,7 +61,7 @@ def test_criterion_1_operator_correctness():
     for p in (5, 8, 33, 64):
         op = sensing.sensing_new("partial_circulant", max(1, p // 2), p,
                                  derive_seed(1, "circ", p))
-        dense = sensing.materialize(op)
+        dense = oracles.materialize(op)
         rng = np.random.default_rng(derive_seed(1, "circ-x", p))
         for _ in range(100):
             x = rng.standard_normal(p)

@@ -258,6 +258,21 @@ class TestRateExperiment:
         with pytest.raises(ValueError):
             analysis.rate_experiment([40], 10, bad, seed=0)
 
+    @pytest.mark.parametrize("kind, grid, cap", [
+        ("dense_gaussian", [40, 0], analysis.N_CAP),
+        ("dense_gaussian", [-5], analysis.N_CAP),
+        ("dense_gaussian", [40, analysis.N_CAP + 1], analysis.N_CAP),
+        ("partial_circulant", [20, 33], 32)])
+    def test_grid_size_rule_before_any_draw(self, monkeypatch, kind, grid,
+                                            cap):
+        def no_draw(*args):
+            raise AssertionError("an operator was drawn")
+        monkeypatch.setattr(sensing, "sensing_new", no_draw)
+        setup = replace(tiny_noiseless_setup(), sensing_kind=kind)
+        with pytest.raises(ValueError,
+                           match=rf"^grid: need 1 <= n <= {cap}, got "):
+            analysis.rate_experiment(grid, 10, setup, seed=0)
+
     @pytest.mark.parametrize("factor", [-1.0, 0.0, 1.0, 1000.0, float("nan")])
     def test_delta_outside_zero_to_lr_rejected(self, factor):
         setup = tiny_noiseless_setup()

@@ -108,8 +108,29 @@ def test_circulant_apply_equals_materialized_matrix(p, frac, op_seed, seed):
     op = sensing.sensing_new("partial_circulant", max(1, int(frac * p)), p,
                              op_seed)
     x = np.random.default_rng(seed).standard_normal(p)
-    assert np.allclose(sensing.apply(op, x), sensing.materialize(op) @ x,
+    assert np.allclose(sensing.apply(op, x), oracles.materialize(op) @ x,
                        rtol=1e-10, atol=1e-10)
+
+
+any_operators = st.builds(
+    lambda kind, n, p, seed: sensing.sensing_new(
+        kind, n if kind == "dense_gaussian" else min(n, p), p, seed),
+    st.sampled_from(sensing.KINDS), st.integers(1, 60), st.integers(1, 40),
+    st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(op=any_operators, m=st.integers(0, 5), seed=st.integers(0, 2 ** 32))
+def test_adjoint_identity(op, m, seed):
+    # <A x, v> = <x, A^T v> for a vector (m = 0) or each of m stacked rows
+    rng = np.random.default_rng(seed)
+    rows = (m,) if m else ()
+    x = rng.standard_normal(rows + (op.p,))
+    v = rng.standard_normal(rows + (op.n,))
+    lhs = np.vecdot(sensing.apply(op, x), v)
+    rhs = np.vecdot(x, sensing.adjoint_apply(op, v))
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+    assert np.all(np.abs(lhs - rhs) <= 1e-10 * scale)
 
 
 @pytest.mark.parametrize("shape", [(), (4,), (2, 4), (2, 3, 5)])

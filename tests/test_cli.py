@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from genprior import analysis, cli
+from genprior import analysis, cli, sensing
 
 
 def write_config(path, **overrides):
@@ -39,8 +40,8 @@ def set_key(cfg, name, value):
             return
     if value is ABSENT:
         cfg.pop(key, None)
-    else:
-        cfg[key] = value
+    else:  # a copy, so later edits never write into a shared value
+        cfg[key] = copy.deepcopy(value)
 
 
 ABSENT = object()
@@ -517,6 +518,42 @@ class TestConfigErrors:
         assert err.startswith(f"config error: {prefix}")
         assert err.count("\n") == 1
 
+    # Sizes a constructor cannot take are rejected before any weight or
+    # operator is drawn, with a message that names the key.
+    @pytest.mark.parametrize("command, keys, message", [
+        ("solve", {"decoder": {"family": "mlp", "k": 3, "layer_dims": [6],
+                               "p": -1, "r": 3.0}},
+         "decoder: need 1 <= k <= p, got k = 3, p = -1"),
+        ("solve", {"decoder.k": -1},
+         "decoder: need 1 <= k <= p, got k = -1, p = 32"),
+        ("solve", {"decoder": {"family": "identity", "k": -1, "r": 3.0}},
+         "decoder: need 1 <= k <= p, got k = -1, p = -1"),
+        ("solve", {"sensing.n": 10 ** 7},
+         "sensing: n: need 1 <= n <= 100000, got 10000000"),
+        ("solve", {"sensing": {"kind": "partial_circulant", "n": 33}},
+         "sensing: n: need 1 <= n <= 32, got 33"),
+        ("rate", {"experiment.grid": [0, 20]},
+         "experiment: grid: need 1 <= n <= 100000, got 0"),
+        ("rate", {"experiment.grid": [40, 100_001]},
+         "experiment: grid: need 1 <= n <= 100000, got 100001"),
+        ("rate", {"decoder": {"family": "identity", "k": 3, "r": 3.0},
+                  "sensing": {"kind": "partial_circulant", "n": 3},
+                  "experiment.grid": [3, 50]},
+         "experiment: grid: need 1 <= n <= 3, got 50"),
+    ])
+    def test_size_rejected_before_any_draw(self, tmp_path, capsys,
+                                           monkeypatch, command, keys,
+                                           message):
+        def no_draw(*args):
+            raise AssertionError("an operator was drawn")
+        monkeypatch.setattr(sensing, "sensing_new", no_draw)
+        cfg = write_config(tmp_path / "cfg.json",
+                           experiment={"grid": [40], "trials": 10})
+        for name, value in keys.items():
+            set_key(cfg, name, value)
+        code, err = self._rejected(tmp_path, capsys, command, **cfg)
+        assert (code, err) == (2, f"config error: {message}\n")
+
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.tuples(
@@ -566,6 +603,7 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "genprior.cli", "check",
                                "mvt", "--quiet"], capture_output=True)
         assert proc.returncode == 0
+        assert proc.stderr == b""
 
     def test_stdout_determinism(self):
         cmd = [sys.executable, "-m", "genprior.cli", "check", "mvt"]

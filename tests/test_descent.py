@@ -97,13 +97,12 @@ def serial_csgm_descent(op, y, decoder, cfg, z0, target):
     r = decoder.latent_radius
     each_step = cfg.ball_handling == "project_each_step"
     z = z0
-    traj = solvers.Trajectory(iterates=[])
+    traj = solvers.Trajectory()
 
     def note(xv, loss):
         traj.loss_values.append(loss)
         if target is not None:
             traj.error_to_target.append(float(np.linalg.norm(xv - target)))
-        traj.iterates.append(xv)
 
     fz = genmodel.forward(decoder, z)
     cur = solvers.loss_glasso(op, y, fz)
@@ -189,7 +188,7 @@ def test_csgm_matches_serial_reference(optimizer, ball, activation):
                                 restarts=restarts, optimizer=optimizer,
                                 ball_handling=ball)
         cfg = SolverConfig(step_size=1.0, iterations=1, projection=pcfg,
-                           seed=restarts, record_trajectory=True)
+                           seed=restarts)
         y = 2.0 * rng.standard_normal(op.n)
         target = rng.standard_normal(dec.ambient_dim)
         for warm in (None, 0.8 * rng.standard_normal(dec.latent_dim)):
@@ -201,8 +200,6 @@ def test_csgm_matches_serial_reference(optimizer, ball, activation):
                                        rtol=0, atol=TOL)
             np.testing.assert_allclose(traj.error_to_target,
                                        ref.error_to_target, rtol=0, atol=TOL)
-            np.testing.assert_allclose(traj.iterates, ref.iterates,
-                                       rtol=0, atol=TOL)
 
 
 def test_nan_warm_start_never_wins_projection():

@@ -118,28 +118,6 @@ class TestLinkValidation:
             build()
 
 
-class TestPsi:
-    def test_sign_without_dither_is_one(self):
-        link = measurement.sign_dithered_link(0.0)
-        assert abs(measurement.psi_estimate(link, 10_000, 1) - 1.0) <= 0.01
-
-    def test_linear_matches_raw_gaussian_estimator(self):
-        link = measurement.linear_link()
-        est = measurement.psi_estimate(link, 50_000, 2)
-        g = np.abs(np.random.default_rng(77).standard_normal(50_000))
-        raw = max(float(np.mean(g ** q)) ** (1.0 / q) / math.sqrt(q)
-                  for q in range(1, 11))
-        assert abs(est - raw) <= 0.1 * raw
-
-    def test_shifted_cosine_finite(self):
-        link = measurement.shifted_cosine_link()
-        assert 0.0 < measurement.psi_estimate(link, 10_000, 3) < 4.0
-
-    def test_sample_floor(self):
-        with pytest.raises(ValueError):
-            measurement.psi_estimate(measurement.linear_link(), 100, 0)
-
-
 class TestCorrupt:
     def test_zero_budget_is_identity(self):
         y = np.array([1.0, 2.0, 3.0])
@@ -241,15 +219,3 @@ class TestMvtSandwichProperty:
                                  - measurement.link_eval(link, t2))
             assert 1.5 * base <= mid <= 2.5 * base
 
-
-class TestCsvDump:
-    def test_schema(self, tmp_path):
-        op = sensing.sensing_new("dense_gaussian", 5, 3, 1)
-        x = np.random.default_rng(0).standard_normal(3)
-        x /= np.linalg.norm(x)
-        obs = measurement.observe_sim(measurement.linear_link(), op, x, 2)
-        path = tmp_path / "obs.csv"
-        measurement.observation_to_csv(obs, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "i,y_clean,y_tilde"
-        assert len(lines) == 6

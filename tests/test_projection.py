@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genprior import genmodel, projection
 from genprior.errors import UnsupportedOperationError
@@ -181,6 +182,24 @@ class TestProjectExactLinear:
         dec = genmodel.decoder_new(1, 2, [], 8, 1.0, "identity", 1.0)
         with pytest.raises(UnsupportedOperationError):
             projection.project_exact_linear(dec, np.zeros(8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), k=st.integers(1, 4),
+       extra=st.integers(0, 12), scale=st.floats(0.1, 10.0),
+       ball=st.sampled_from(projection.BALL_HANDLING),
+       restarts=st.integers(1, 2))
+def test_descent_never_beats_exact_projection(seed, k, extra, scale, ball,
+                                              restarts):
+    # on an orthonormal linear decoder the exact projection is optimal over
+    # the ball, and every point the descent can return lies in the ball
+    dec = genmodel.orthonormal_linear_decoder(seed, k, k + extra, 2.0)
+    x = scale * np.random.default_rng(seed).standard_normal(dec.ambient_dim)
+    cfg = ProjectionConfig(steps=25, learning_rate=0.1, restarts=restarts,
+                           ball_handling=ball)
+    got = projection.project(dec, x, cfg, seed=seed)
+    exact = projection.project_exact_linear(dec, x)
+    assert got.residual >= exact.residual - 1e-12
 
 
 class TestConfig:

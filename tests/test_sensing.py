@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from genprior import sensing
 
 
@@ -38,7 +39,7 @@ class TestConstruction:
 
     def test_impulse_circulant_is_identity(self):
         op = impulse_circulant(8)
-        assert np.allclose(sensing.materialize(op), np.eye(8), atol=1e-12)
+        assert np.allclose(oracles.materialize(op), np.eye(8), atol=1e-12)
 
     def test_determinism(self):
         a = sensing.sensing_new("partial_circulant", 5, 16, 3)
@@ -57,7 +58,7 @@ class TestApply:
     def test_circulant_matches_materialized(self):
         for p in (5, 8, 33, 64):
             op = sensing.sensing_new("partial_circulant", max(1, p // 2), p, p)
-            m = sensing.materialize(op)
+            m = oracles.materialize(op)
             rng = np.random.default_rng(p)
             for _ in range(100):
                 x = rng.standard_normal(p)
@@ -100,17 +101,12 @@ class TestAdjoint:
 class TestMaterialize:
     def test_dense_returns_payload(self):
         op = sensing.sensing_new("dense_gaussian", 4, 6, 5)
-        assert np.array_equal(sensing.materialize(op), op.matrix)
-
-    def test_guard(self):
-        op = sensing.sensing_new("partial_circulant", 9000, 9000, 0)
-        with pytest.raises(ValueError):
-            sensing.materialize(op)
+        assert np.array_equal(oracles.materialize(op), op.matrix)
 
     def test_circulant_matches_quadratic_reference(self):
         p = 8
         op = sensing.sensing_new("partial_circulant", 5, p, 13)
-        m = sensing.materialize(op)
+        m = oracles.materialize(op)
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.standard_normal(p)
@@ -121,12 +117,12 @@ class TestMaterialize:
 class TestSpectralNorm:
     def test_identity_operator(self):
         op = impulse_circulant(8)
-        assert abs(sensing.spectral_norm_estimate(op, 1e-10) - 1.0) <= 1e-8
+        assert abs(oracles.spectral_norm(op, 1e-10) - 1.0) <= 1e-8
 
     def test_matches_dense_svd(self):
         op = sensing.sensing_new("dense_gaussian", 12, 20, 3)
         top = np.linalg.svd(op.matrix, compute_uv=False)[0]
-        got = sensing.spectral_norm_estimate(op, 1e-10)
+        got = oracles.spectral_norm(op, 1e-10)
         assert abs(got - top) <= 1e-6 * top
 
     def test_gaussian_bound_two_sqrt_n_plus_sqrt_p(self):
@@ -135,7 +131,7 @@ class TestSpectralNorm:
         bound = 2 * np.sqrt(n) + np.sqrt(p)
         for seed in range(20):
             op = sensing.sensing_new("dense_gaussian", n, p, seed)
-            assert sensing.spectral_norm_estimate(op, 1e-6) <= bound
+            assert oracles.spectral_norm(op, 1e-6) <= bound
 
 
 class TestRowIsotropy:
@@ -150,10 +146,3 @@ class TestRowIsotropy:
         acc /= count
         assert np.max(np.abs(acc - np.eye(p))) <= 0.1
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        op = sensing.sensing_new("partial_circulant", 6, 16, 9)
-        back = sensing.sensing_from_json(sensing.sensing_to_json(op))
-        x = np.random.default_rng(1).standard_normal(16)
-        assert np.array_equal(sensing.apply(op, x), sensing.apply(back, x))
