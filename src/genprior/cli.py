@@ -70,7 +70,7 @@ SCHEMA = {
                 "layer_dims": _Key(INTS), "weight_scale": _Key(NUM)},
         "orthonormal_linear": {"seed": _Key(INT), **_DIMS},
         "identity": {"k": _DIMS["k"], "r": _DIMS["r"]}}),
-    "sensing": {"kind": _Key(STR, False, sensing.KINDS), "n": _Key(INT, True)},
+    "sensing": {"kind": _Key(STR, False, sensing.KINDS), "n": _Key(INT)},
     "link": ("kind", None, {  # built by measurement.<kind>_link
         "linear": {"sigma": _Key(NUM), "tau": _Key(NUM)},
         "shifted_cosine": {"sigma": _Key(NUM), "tau": _Key(NUM)},
@@ -161,6 +161,11 @@ def _common_flags(sp, config_required):
 def cmd_solve(args):
     cfg = _load_config(args.config)
     setup, n, master, out_dir = _build_setup(cfg, args)
+    if n is None:  # rate measures at the experiment.grid values instead
+        raise ConfigError("sensing.n: required by the solve command")
+    # the operator is drawn in the solve, so its size is checked here
+    with _reported("sensing"):
+        analysis._check_n(n, setup.sensing_kind, setup.decoder.ambient_dim, "n")
     result = analysis.solve_instance(setup, n, derive_seed(master, "solve"))
     metrics = {
         "n": n,
@@ -411,10 +416,6 @@ def _build_setup(cfg, args):
     link_args = dict(cfg["link"])
     with _reported("link"):
         link = getattr(measurement, link_args.pop("kind") + "_link")(**link_args)
-    # the operator is drawn per trial, so its size is checked here
-    n = sense["n"]
-    with _reported("sensing"):
-        analysis._check_n(n, sense.get("kind"), decoder.ambient_dim, "n")
     nlasso = solver["kind"] == "pgd_nlasso"
     if nlasso and not link.differentiable:
         raise UnsupportedOperationError("pgd_nlasso needs a differentiable link")
@@ -429,7 +430,7 @@ def _build_setup(cfg, args):
         decoder=decoder, link=link, solver_kind=solver["kind"],
         solver_cfg=scfg, **_args(sense, kind="sensing_kind"),
         **_args(exp, observation="observation", delta="delta"))
-    return setup, n, master, out_dir
+    return setup, sense.get("n"), master, out_dir
 
 
 def _instance_doc(cfg, setup, n, master):

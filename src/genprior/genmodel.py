@@ -182,6 +182,19 @@ def _vjp_cached(decoder, hidden, v):
     return g
 
 
+def _jacobian_cached(decoder, z, hidden):
+    """dG/dz at the rows of z, (B, k), as a (B, p, k) stack, by forward
+    accumulation; activations and derivatives as in ``_vjp_cached``."""
+    (w, _), *rest = decoder.layers
+    jt = np.broadcast_to(w.T, (len(z),) + w.T.shape)  # rows of J^T, (B, k, d)
+    for h, (w, _) in zip(hidden, rest):
+        if decoder.activation != "identity":
+            tanh = decoder.activation == "tanh"
+            jt = jt * (1.0 - h * h if tanh else h > 0)[:, None]
+        jt = (jt.reshape(-1, w.shape[1]) @ w.T).reshape(len(z), -1, w.shape[0])
+    return np.swapaxes(jt, 1, 2)
+
+
 def lipschitz_bound(decoder):
     """Upper bound on the decoder's Lipschitz constant (cached at build)."""
     return decoder.lipschitz

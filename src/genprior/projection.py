@@ -1,9 +1,9 @@
 """Approximate projection onto the decoder range by latent-space descent.
 
-The projection minimizes 0.5 ||G(z) - x||^2 over the latent ball with a
-first-order optimizer and random restarts, returning the best feasible point
-seen. A closed-form path exists for single-layer decoders with orthonormal
-columns and serves as the exact-projection oracle.
+The projection minimizes 0.5 ||G(z) - x||^2 over the latent ball by damped
+Gauss-Newton or a first-order optimizer, with restarts, returning the best
+feasible point seen. A closed-form path for single-layer decoders with
+orthonormal columns serves as the exact-projection oracle.
 """
 
 from __future__ import annotations
@@ -25,10 +25,15 @@ __all__ = [
     "projection_from_json",
 ]
 
-OPTIMIZERS = ("gradient_descent", "momentum", "adam_style")
+OPTIMIZERS = ("gauss_newton", "gradient_descent", "momentum", "adam_style")
 BALL_HANDLING = ("project_each_step", "project_at_end")
 INITS = ("zero", "gaussian")
 METHODS = ("descent", "exact_linear")
+# Gauss-Newton stops a row once a step moves its value by at most this share
+GN_STALL = 1e-6
+# constants of the first-order optimizers, which Gauss-Newton does not read
+MOMENTUM_BETA = 0.9
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -36,11 +41,7 @@ class ProjectionConfig:
     steps: int = 200
     learning_rate: float = 0.03
     restarts: int = 1
-    optimizer: str = "adam_style"
-    momentum_beta: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+    optimizer: str = "gauss_newton"  # the others use learning_rate
     init: str = "gaussian"
     ball_handling: str = "project_each_step"
     method: str = "descent"  # "exact_linear" routes to the analytic oracle
@@ -88,10 +89,10 @@ def _project_rows(decoder, x, cfg, seeds, warm_starts):
     each target keeps the best of its own restarts."""
     if cfg.method == "exact_linear":
         return [project_exact_linear(decoder, xt) for xt in x]
-    rows = x[_owners(len(x), cfg.restarts)]
+    targets = x[_owners(len(x), cfg.restarts)]
 
-    def objective(fz):
-        d = fz - rows
+    def objective(fz, rows):
+        d = fz - targets[rows]
         return 0.5 * np.add.reduce(d * d, 1), d
 
     z0 = np.concatenate([_start_latents(decoder, cfg, s, "restart", w)
@@ -115,7 +116,8 @@ def project_exact_linear(decoder, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (decoder.ambient_dim,):
         raise ValueError(f"expected ambient vector of length {decoder.ambient_dim}")
-    z = _clip_ball(w.T @ x, decoder.latent_radius)
+    z = w.T @ x
+    z = _clip_rows(z, np.linalg.norm(z), decoder.latent_radius)
     x_hat = genmodel.forward(decoder, z)
     return ProjectionResult(z, x_hat, float(np.linalg.norm(x_hat - x)), 0, 0)
 
@@ -154,56 +156,121 @@ def _start_latents(decoder, cfg, seed, label, warm_start):
         else:
             rng = np.random.default_rng(derive_seed(seed, label, i))
             z = rng.standard_normal(decoder.latent_dim)
-        rows.append(_clip_ball(z, decoder.latent_radius))
+        rows.append(_clip_rows(z, np.linalg.norm(z), decoder.latent_radius))
     return np.array(rows)
 
 
-def _descend(decoder, cfg, z, objective):
+def _descend(decoder, cfg, z, objective, metric=None, record=None):
     """Latent descent of every row of z, (B, k), as one batch.
 
-    ``objective`` maps decoder outputs (B, p) to per-row values and their
-    gradient in output space. Returns per row the first best feasible latent
-    seen, its value, and the number of steps whose raw update left the ball.
+    ``objective(fz, rows)`` maps the decoder outputs of batch rows ``rows``
+    to their values and output-space gradients. Gauss-Newton also takes
+    ``metric(jac, rows)``, the output Hessian pulled back through the
+    Jacobians, J^T J (that of 0.5 ||G(z) - x||^2) by default. ``record(rows,
+    fz, values)`` sees every iterate: the start, each first-order step, each
+    accepted Gauss-Newton step. Returns per row the first best feasible
+    latent seen, its value, and the number of steps whose raw update left
+    the ball.
     """
     r = decoder.latent_radius
     each_step = cfg.ball_handling == "project_each_step"
+    every = np.arange(len(z))
+    note = record or (lambda rows, fz, val: None)
     fz, hidden = genmodel._forward_cached(decoder, z)
-    val, g = objective(fz)
-    seen_z, seen_val, norms = [z], [val], []
-    m = np.zeros_like(z)
-    v = np.zeros_like(z)
-    for t in range(1, cfg.steps + 1):
-        grad = genmodel._vjp_cached(decoder, hidden, g)
-        if cfg.optimizer == "gradient_descent":
-            z = z - cfg.learning_rate * grad
-        elif cfg.optimizer == "momentum":
-            m = cfg.momentum_beta * m + grad
-            z = z - cfg.learning_rate * m
-        else:
-            m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
-            v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * grad * grad
-            mhat = m / (1 - cfg.adam_beta1 ** t)
-            vhat = v / (1 - cfg.adam_beta2 ** t)
-            z = z - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
-        nrm = np.sqrt(np.add.reduce(z * z, 1))
-        norms.append(nrm)
-        if each_step and (nrm > r).any():
-            z = _clip_rows(z, nrm, r)
-        fz, hidden = genmodel._forward_cached(decoder, z)
-        val, g = objective(fz)
-        if each_step:
-            seen_z.append(z)
-            seen_val.append(val)
+    val, g = objective(fz, every)
+    note(every, fz, val)
+    seen_z, seen_val = [z], [val]
+    if cfg.optimizer == "gauss_newton":
+        z, val, oob = _gauss_newton(decoder, cfg, z, val, hidden, g,
+                                    objective, metric, note)
+        if each_step:  # its values never rise: z is the best seen
+            seen_z, seen_val = [z], [val]
+    else:
+        norms = []
+        m = np.zeros_like(z)
+        v = np.zeros_like(z)
+        for t in range(1, cfg.steps + 1):
+            grad = genmodel._vjp_cached(decoder, hidden, g)
+            if cfg.optimizer == "gradient_descent":
+                z = z - cfg.learning_rate * grad
+            elif cfg.optimizer == "momentum":
+                m = MOMENTUM_BETA * m + grad
+                z = z - cfg.learning_rate * m
+            else:
+                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+                v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
+                mhat = m / (1 - ADAM_BETA1 ** t)
+                vhat = v / (1 - ADAM_BETA2 ** t)
+                z = z - cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            nrm = np.sqrt(np.add.reduce(z * z, 1))
+            norms.append(nrm)
+            if each_step and (nrm > r).any():
+                z = _clip_rows(z, nrm, r)
+            fz, hidden = genmodel._forward_cached(decoder, z)
+            val, g = objective(fz, every)
+            note(every, fz, val)
+            if each_step:
+                seen_z.append(z)
+                seen_val.append(val)
+        oob = np.sum(np.array(norms) > r, axis=0)
     if not each_step:
-        z = _clip_rows(z, nrm, r)  # nrm is still the norm of this z
-        val, _ = objective(genmodel._forward_cached(decoder, z)[0])
+        z = _clip_rows(z, np.sqrt(np.add.reduce(z * z, 1)), r)
+        val, _ = objective(genmodel._forward_cached(decoder, z)[0], every)
         seen_z.append(z)
         seen_val.append(val)
     seen_val = np.array(seen_val)
     first = _first_min(seen_val, axis=0)
-    rows = np.arange(len(z))
-    oob = np.sum(np.array(norms) > r, axis=0)
-    return np.array(seen_z)[first, rows], seen_val[first, rows], oob
+    return np.array(seen_z)[first, every], seen_val[first, every], oob
+
+
+def _gauss_newton(decoder, cfg, z, val, hidden, g, objective, metric, note):
+    """Levenberg-Marquardt descent of the rows of z (see ``_descend``). Each
+    step solves (M + lam (tr M / k) I) d = J^T g, lam per row from 0: a step
+    that does not lower the row's value is rejected and raises lam tenfold,
+    to at least 1e-3; an accepted one lowers it tenfold. A row stops for good
+    once a step moves its value by at most GN_STALL of it, or its latent by
+    at most 1e-8 of its norm (an exact fit, where the value is round-off);
+    a non-finite row never starts. Returns the latents, values and
+    out-of-ball step counts."""
+    r, k = decoder.latent_radius, decoder.latent_dim
+    z, val = z.copy(), val.copy()
+    lam, oob = np.zeros(len(z)), np.zeros(len(z), dtype=int)
+    w, b, vec = np.zeros(z.shape), np.zeros(z.shape), np.zeros(z.shape + (k,))
+
+    def refresh(at, sel, z, hs, g):  # eigen-pairs of M, J^T g in their basis
+        jac = genmodel._jacobian_cached(decoder, z[sel], [h[sel] for h in hs])
+        w[at], vec[at] = np.linalg.eigh(np.swapaxes(jac, 1, 2) @ jac
+                                        if metric is None else metric(jac, at))
+        b[at] = ((g[sel][:, None, :] @ jac) @ vec[at])[:, 0]
+
+    rows = np.flatnonzero(np.isfinite(val))
+    refresh(rows, rows, z, hidden, g)
+    for _ in range(cfg.steps):
+        if not len(rows):
+            break
+        wr = w[rows]  # M is singular for relu at z = 0: no step along its kernel
+        den = wr + (lam[rows] * wr.sum(1) / k)[:, None]
+        ok = den > 1e-12 * wr.max(1, keepdims=True)
+        coef = np.where(ok, b[rows] / np.where(ok, den, 1.0), 0.0)
+        zr, step = z[rows], (vec[rows] @ coef[:, :, None])[:, :, 0]
+        trial = zr - step
+        nrm = np.sqrt(np.add.reduce(trial * trial, 1))
+        oob[rows] += nrm > r
+        if cfg.ball_handling == "project_each_step":
+            trial = _clip_rows(trial, nrm, r)
+        fz, hid = genmodel._forward_cached(decoder, trial)
+        new, g = objective(fz, rows)
+        acc = new < val[rows]
+        stop = ((np.abs(val[rows] - new) <= GN_STALL * val[rows])
+                | (np.vecdot(step, step) <= 1e-16 * np.vecdot(zr, zr)))
+        lam[rows] = np.where(acc, lam[rows] / 10,
+                             np.maximum(lam[rows] * 10, 1e-3))
+        z[rows[acc]], val[rows[acc]] = trial[acc], new[acc]
+        note(rows[acc], fz[acc], new[acc])
+        if (acc & ~stop).any():
+            refresh(rows[acc & ~stop], acc & ~stop, trial, hid, g)
+        rows = rows[~stop]
+    return z, val, oob
 
 
 def _owners(targets, restarts):
@@ -218,22 +285,15 @@ def _best_rows(values, restarts):
 
 
 def _clip_rows(z, nrm, r):
-    """Rows of z with norm nrm above r scaled onto the ball; the others
-    are multiplied by exactly 1."""
-    return z * (r / np.maximum(nrm, r))[:, None]
+    """Rows of z (or the vector z) with norm nrm above r scaled onto the
+    ball; the others are multiplied by exactly 1."""
+    return z * (r / np.maximum(nrm, r))[..., None]
 
 
 def _first_min(values, axis=None):
     """Index of the first lowest value along axis. A non-finite value ranks
     last, so it is chosen only when no value is finite."""
     return np.argmin(np.where(np.isfinite(values), values, np.inf), axis=axis)
-
-
-def _clip_ball(z, r):
-    nrm = np.linalg.norm(z)
-    if nrm > r:
-        return z * (r / nrm)
-    return z
 
 
 def _orthonormal_weight(decoder):

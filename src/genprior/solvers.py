@@ -251,18 +251,24 @@ def _csgm_group(ops, ys, decoder, cfg, seeds, targets, warm_starts):
     owner = projection._owners(len(ops), pcfg.restarts)
     trajs = [Trajectory() for _ in z0]
 
-    def objective(fz):
-        # the end-of-run clip of project_at_end is evaluated, not recorded
-        note = len(trajs[0].loss_values) <= pcfg.steps
+    def objective(fz, rows):
         loss = np.empty(len(fz))
         grad = np.empty_like(fz)
-        for i, (xv, t) in enumerate(zip(fz, owner)):
-            loss[i], grad[i] = _fit(ops[t], ys[t], None, xv)
-            if note:
-                _record(trajs[i], xv, float(loss[i]), targets[t])
+        for j, (xv, t) in enumerate(zip(fz, owner[rows])):
+            loss[j], grad[j] = _fit(ops[t], ys[t], None, xv)
         return loss, grad
 
-    z, loss, _ = projection._descend(decoder, pcfg, z0, objective)
+    def metric(jac, rows):  # (A J)^T (A J) / n, on each row's own operator
+        aj = [sensing.apply(ops[t], jt) / np.sqrt(ops[t].n)
+              for jt, t in zip(np.swapaxes(jac, 1, 2), owner[rows])]
+        return np.array([a @ a.T for a in aj])
+
+    def record(rows, fz, loss):
+        for i, xv, value in zip(rows, fz, loss):
+            _record(trajs[i], xv, float(value), targets[owner[i]])
+
+    z, loss, _ = projection._descend(decoder, pcfg, z0, objective, metric,
+                                     record)
     out = []
     for i in projection._best_rows(loss, pcfg.restarts):
         _fill_ratios(trajs[i])

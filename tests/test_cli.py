@@ -138,6 +138,27 @@ class TestRate:
                          "--quiet"]) == 0
         assert read_tree(a) == read_tree(b)
 
+    # rate draws its measurement counts from experiment.grid alone
+    @pytest.mark.parametrize("sensing_section", [
+        {"kind": "dense_gaussian"}, {"kind": "partial_circulant", "n": 33}])
+    def test_sensing_n_is_not_read(self, tmp_path, capsys, sensing_section):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, sensing=sensing_section,
+                     experiment={"grid": [16, 32], "trials": 10})
+        assert cli.main(["rate", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "o"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_solve_requires_sensing_n(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, sensing={"kind": "dense_gaussian"})
+        out = tmp_path / "o"
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out),
+                         "--quiet"]) == 2
+        assert (capsys.readouterr().err
+                == "config error: sensing.n: required by the solve command\n")
+        assert not out.exists()
+
     def test_missing_grid_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)

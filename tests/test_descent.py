@@ -45,13 +45,14 @@ def _step(cfg, z, grad, m, v, t):
     if cfg.optimizer == "gradient_descent":
         return z - cfg.learning_rate * grad, m, v
     if cfg.optimizer == "momentum":
-        m = cfg.momentum_beta * m + grad
+        m = projection.MOMENTUM_BETA * m + grad
         return z - cfg.learning_rate * m, m, v
-    m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
-    v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * grad * grad
-    mhat = m / (1 - cfg.adam_beta1 ** t)
-    vhat = v / (1 - cfg.adam_beta2 ** t)
-    return z - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps), m, v
+    b1, b2, eps = projection.ADAM_BETA1, projection.ADAM_BETA2, projection.ADAM_EPS
+    m = b1 * m + (1 - b1) * grad
+    v = b2 * v + (1 - b2) * grad * grad
+    mhat = m / (1 - b1 ** t)
+    vhat = v / (1 - b2 ** t)
+    return z - cfg.learning_rate * mhat / (np.sqrt(vhat) + eps), m, v
 
 
 def serial_descend(decoder, x, cfg, z0):
@@ -202,26 +203,45 @@ def test_csgm_matches_serial_reference(optimizer, ball, activation):
                                        ref.error_to_target, rtol=0, atol=TOL)
 
 
-def test_nan_warm_start_never_wins_projection():
+def check_nan_warm_start_projection(optimizer):
     dec = _decoder("tanh")
     x = np.random.default_rng(3).standard_normal(dec.ambient_dim)
-    cfg = ProjectionConfig(steps=20, restarts=2)
+    cfg = ProjectionConfig(steps=20, restarts=2, optimizer=optimizer)
     res = projection.project(dec, x, cfg, seed=0,
                              warm_start=np.full(dec.latent_dim, np.nan))
     assert res.restart_index == 1
     assert np.all(np.isfinite(res.z_hat)) and np.isfinite(res.residual)
 
 
-def test_nan_warm_start_never_wins_csgm():
+def check_nan_warm_start_csgm(optimizer):
     dec = _decoder("tanh")
     op = sensing.sensing_new("dense_gaussian", 12, dec.ambient_dim, 5)
     y = np.random.default_rng(4).standard_normal(op.n)
     cfg = SolverConfig(step_size=1.0, iterations=1,
-                       projection=ProjectionConfig(steps=20, restarts=2))
+                       projection=ProjectionConfig(steps=20, restarts=2,
+                                                   optimizer=optimizer))
     x_hat, traj = solvers.csgm_baseline(
         op, y, dec, cfg, warm_start=np.full(dec.latent_dim, np.nan))
     assert np.all(np.isfinite(x_hat))
     assert np.all(np.isfinite(traj.loss_values))
+
+
+# at the default optimizer, gauss_newton, and under their own names at
+# adam_style, so a failure names its optimizer
+def test_nan_warm_start_never_wins_projection():
+    check_nan_warm_start_projection("gauss_newton")
+
+
+def test_nan_warm_start_never_wins_projection_adam_style():
+    check_nan_warm_start_projection("adam_style")
+
+
+def test_nan_warm_start_never_wins_csgm():
+    check_nan_warm_start_csgm("gauss_newton")
+
+
+def test_nan_warm_start_never_wins_csgm_adam_style():
+    check_nan_warm_start_csgm("adam_style")
 
 
 def test_first_min_ranks_non_finite_last():

@@ -24,13 +24,16 @@ TOL = 1e-10
 
 KINDS = (("pgd_glasso", "sim", 1.0), ("pgd_nlasso", "known", 0.2),
          ("csgm", "sim", 1.0))
+SENSING_KINDS = ("dense_gaussian", "partial_circulant")
 
 
-def short_setup(kind, observation, step, sensing_kind):
+def short_setup(kind, observation, step, sensing_kind,
+                optimizer="gauss_newton"):
     dec = genmodel.decoder_new(31, 3, [12], 20, 1.5, "tanh", 1.0)
     cfg = SolverConfig(step_size=step, iterations=3, x0_mode="zero",
                        projection=ProjectionConfig(steps=15, restarts=2,
-                                                   learning_rate=0.05))
+                                                   learning_rate=0.05,
+                                                   optimizer=optimizer))
     return analysis.TrialSetup(
         decoder=dec, link=measurement.shifted_cosine_link(sigma=0.1),
         solver_kind=kind, solver_cfg=cfg, sensing_kind=sensing_kind,
@@ -49,11 +52,7 @@ def assert_matches_solo(got, solo):
         assert a == b or abs(a - b) <= TOL, (field, a, b)
 
 
-@pytest.mark.parametrize("kind,observation,step", KINDS)
-@pytest.mark.parametrize("sensing_kind", ["dense_gaussian",
-                                          "partial_circulant"])
-def test_group_matches_solo_solves(kind, observation, step, sensing_kind):
-    setup = short_setup(kind, observation, step, sensing_kind)
+def check_group_matches_solo(setup):
     seeds = [derive_seed(4, "lockstep", i) for i in range(4)]
     solo = [analysis.solve_instance(setup, 12, s) for s in seeds]
     for size in (1, 2, 3, 4):
@@ -66,10 +65,7 @@ def test_group_matches_solo_solves(kind, observation, step, sensing_kind):
     assert analysis.run_trials(setup, 12, []) == []
 
 
-@pytest.mark.parametrize("kind,observation,step", KINDS)
-def test_non_finite_trial_leaves_the_others_alone(kind, observation, step,
-                                                  monkeypatch):
-    setup = short_setup(kind, observation, step, "dense_gaussian")
+def check_non_finite_trial(setup, monkeypatch):
     seeds = [derive_seed(5, "lockstep", i) for i in range(3)]
     solo = [analysis.solve_instance(setup, 12, s) for s in seeds]
     poisoned = derive_seed(seeds[1], "observe")
@@ -88,6 +84,37 @@ def test_non_finite_trial_leaves_the_others_alone(kind, observation, step,
     assert math.isnan(group[1].record.loss)
     for i in (0, 2):
         assert_matches_solo(group[i], solo[i])
+
+
+# Each check runs at the default optimizer, gauss_newton, and again at
+# adam_style under a name of its own, so a failure names its optimizer.
+@pytest.mark.parametrize("kind,observation,step", KINDS)
+@pytest.mark.parametrize("sensing_kind", SENSING_KINDS)
+def test_group_matches_solo_solves(kind, observation, step, sensing_kind):
+    check_group_matches_solo(short_setup(kind, observation, step, sensing_kind))
+
+
+@pytest.mark.parametrize("kind,observation,step", KINDS)
+@pytest.mark.parametrize("sensing_kind", SENSING_KINDS)
+def test_group_matches_solo_solves_adam_style(kind, observation, step,
+                                              sensing_kind):
+    check_group_matches_solo(short_setup(kind, observation, step,
+                                         sensing_kind, "adam_style"))
+
+
+@pytest.mark.parametrize("kind,observation,step", KINDS)
+def test_non_finite_trial_leaves_the_others_alone(kind, observation, step,
+                                                  monkeypatch):
+    check_non_finite_trial(short_setup(kind, observation, step,
+                                       "dense_gaussian"), monkeypatch)
+
+
+@pytest.mark.parametrize("kind,observation,step", KINDS)
+def test_non_finite_trial_leaves_the_others_alone_adam_style(
+        kind, observation, step, monkeypatch):
+    check_non_finite_trial(short_setup(kind, observation, step,
+                                       "dense_gaussian", "adam_style"),
+                           monkeypatch)
 
 
 BUDGET = analysis.OPERATOR_BUDGET
@@ -167,7 +194,7 @@ def test_batched_projection_stays_in_ball(targets, k, restarts, ball, scale,
                                           seed):
     dec = genmodel.decoder_new(seed, k, [6], 9, 1.0, "tanh", 1.0)
     cfg = ProjectionConfig(steps=8, learning_rate=0.3, restarts=restarts,
-                           ball_handling=ball)
+                           optimizer="adam_style", ball_handling=ball)
     rng = np.random.default_rng(seed)
     x = scale * rng.standard_normal((targets, dec.ambient_dim))
     warm = [scale * rng.standard_normal(k) if t % 2 else None

@@ -63,7 +63,7 @@ class TestProject:
     def test_matches_exact_linear_oracle_residual(self):
         dec = genmodel.orthonormal_linear_decoder(3, 4, 24, 1.5)
         rng = np.random.default_rng(5)
-        cfg = ProjectionConfig(restarts=2)
+        cfg = ProjectionConfig(restarts=2, optimizer="adam_style")
         for _ in range(20):
             x = self._interior_instance(dec, rng)
             it = projection.project(dec, x, cfg, seed=9)
@@ -143,7 +143,7 @@ class TestProject:
     def test_optimizer_variants_run(self):
         dec = genmodel.decoder_new(2, 2, [6], 8, 1.0, "tanh", 1.0)
         x = np.random.default_rng(2).standard_normal(8)
-        for opt in ("gradient_descent", "momentum", "adam_style"):
+        for opt in projection.OPTIMIZERS:
             cfg = ProjectionConfig(steps=30, optimizer=opt, learning_rate=0.05)
             res = projection.project(dec, x, cfg, seed=1)
             assert np.isfinite(res.residual)
@@ -188,15 +188,16 @@ class TestProjectExactLinear:
 @given(seed=st.integers(0, 2 ** 32), k=st.integers(1, 4),
        extra=st.integers(0, 12), scale=st.floats(0.1, 10.0),
        ball=st.sampled_from(projection.BALL_HANDLING),
-       restarts=st.integers(1, 2))
+       restarts=st.integers(1, 2),
+       optimizer=st.sampled_from(("gauss_newton", "adam_style")))
 def test_descent_never_beats_exact_projection(seed, k, extra, scale, ball,
-                                              restarts):
+                                              restarts, optimizer):
     # on an orthonormal linear decoder the exact projection is optimal over
     # the ball, and every point the descent can return lies in the ball
     dec = genmodel.orthonormal_linear_decoder(seed, k, k + extra, 2.0)
     x = scale * np.random.default_rng(seed).standard_normal(dec.ambient_dim)
     cfg = ProjectionConfig(steps=25, learning_rate=0.1, restarts=restarts,
-                           ball_handling=ball)
+                           optimizer=optimizer, ball_handling=ball)
     got = projection.project(dec, x, cfg, seed=seed)
     exact = projection.project_exact_linear(dec, x)
     assert got.residual >= exact.residual - 1e-12
