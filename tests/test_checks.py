@@ -18,8 +18,11 @@ def check_decoder():
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 20, 64])
 @pytest.mark.parametrize("inset", [0.9, 1.0])
 def test_sample_latents_equal_single_draws_bitwise(k, inset):
+    # two-word derived seeds, one-word seeds and numpy integer seeds
     dec = genmodel.identity_decoder(k, r=3.0)
-    seeds = [derive_seed(k, "latent", i) for i in range(300)]
+    derived = [derive_seed(k, "latent", i) for i in range(300)]
+    seeds = (derived + list(range(300)) + [np.uint64(s) for s in derived[:50]]
+             + list(np.random.default_rng(k).integers(2 ** 63, size=50)))
     batch = genmodel._sample_latents(dec, seeds, inset)
     assert batch.shape == (len(seeds), k)
     for seed, row in zip(seeds, batch):
@@ -70,6 +73,27 @@ def test_undersampled_oracle_cases_have_violations():
     assert oracles.tsrec_check(op, dec, 0.5, 0.01, 1000, 1000)[0] > 0
     assert oracles.wnu_check(op, dec, 1.0, 0.3, 1000, 1000,
                              analysis.WNU_SLACK)[0] > 0
+
+
+def test_range_checks_never_construct_a_generator_per_point(monkeypatch):
+    # every latent's generator state is derived in one pass, not by a
+    # default_rng per point; the draws still match the serial oracles
+    dec = check_decoder()
+    op = sensing.sensing_new("dense_gaussian", 1000, dec.ambient_dim,
+                             derive_seed(1000, "guard"))
+    want_tsrec = oracles.tsrec_check(op, dec, 0.5, 0.01, 1000, 5)
+    want_wnu = oracles.wnu_check(op, dec, 1.0, 0.3, 500, 6, analysis.WNU_SLACK)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.random.default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    tsrec = analysis.tsrec_check(op, dec, eps=0.5, delta=0.01, pairs=1000,
+                                 seed=5)
+    wnu = analysis.wnu_check(op, dec, nu=1.0, eps=0.3, pairs=500, seed=6)
+    assert tsrec.passed and wnu.passed
+    assert_matches(tsrec, want_tsrec)
+    assert_matches(wnu, want_wnu)
 
 
 def test_zero_pairs():
