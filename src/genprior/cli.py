@@ -80,8 +80,7 @@ SCHEMA = {
                "x0_mode": _Key(STR, False, solvers.X0_MODES),
                "projection": _Key(OBJ)},
     "solver.projection": {
-        "steps": _Key(INT), "lr": _Key(NUM), "restarts": _Key(INT),
-        "optimizer": _Key(STR, False, projection.OPTIMIZERS),
+        "steps": _Key(INT), "restarts": _Key(INT),
         "init": _Key(STR, False, projection.INITS),
         "ball_handling": _Key(STR, False, projection.BALL_HANDLING),
         "method": _Key(STR, False, projection.METHODS)},

@@ -144,17 +144,23 @@ def forward(decoder, z):
 
 
 def vjp(decoder, z, v):
-    """Gradient of <G(z), v> with respect to z (reverse accumulation).
-
-    ReLU uses derivative 0 at 0.
+    """Gradient of <G(z), v> with respect to z (reverse accumulation). The
+    activation derivative is read off the forward pass's activations:
+    1 - tanh^2, or relu > 0, so ReLU uses derivative 0 at 0.
     """
     z = np.asarray(z, dtype=float)
-    v = np.asarray(v, dtype=float)
+    g = np.asarray(v, dtype=float)
     if z.shape != (decoder.latent_dim,):
         raise ValueError(f"latent vector must have length {decoder.latent_dim}")
-    if v.shape != (decoder.ambient_dim,):
+    if g.shape != (decoder.ambient_dim,):
         raise ValueError(f"ambient vector must have length {decoder.ambient_dim}")
-    return _vjp_cached(decoder, _forward_cached(decoder, z)[1], v)
+    hidden = _forward_cached(decoder, z)[1]
+    for i in range(len(decoder.layers) - 1, -1, -1):
+        g = g @ decoder.layers[i][0]
+        if i > 0 and decoder.activation != "identity":
+            h = hidden[i - 1]
+            g = g * (1.0 - h * h if decoder.activation == "tanh" else h > 0)
+    return g
 
 
 def _forward_cached(decoder, z):
@@ -170,21 +176,9 @@ def _forward_cached(decoder, z):
     return h, hidden
 
 
-def _vjp_cached(decoder, hidden, v):
-    """Row-wise ``vjp`` from the activations of ``_forward_cached``; the
-    activation derivative is read off them: 1 - tanh^2, or relu > 0."""
-    g = v
-    for i in range(len(decoder.layers) - 1, -1, -1):
-        g = g @ decoder.layers[i][0]
-        if i > 0 and decoder.activation != "identity":
-            h = hidden[i - 1]
-            g = g * (1.0 - h * h if decoder.activation == "tanh" else h > 0)
-    return g
-
-
 def _jacobian_cached(decoder, z, hidden):
     """dG/dz at the rows of z, (B, k), as a (B, p, k) stack, by forward
-    accumulation; activations and derivatives as in ``_vjp_cached``."""
+    accumulation; activations and derivatives as in ``vjp``."""
     (w, _), *rest = decoder.layers
     jt = np.broadcast_to(w.T, (len(z),) + w.T.shape)  # rows of J^T, (B, k, d)
     for h, (w, _) in zip(hidden, rest):

@@ -1,9 +1,9 @@
 """Approximate projection onto the decoder range by latent-space descent.
 
 The projection minimizes 0.5 ||G(z) - x||^2 over the latent ball by damped
-Gauss-Newton or a first-order optimizer, with restarts, returning the best
-feasible point seen. A closed-form path for single-layer decoders with
-orthonormal columns serves as the exact-projection oracle.
+Gauss-Newton, with restarts, returning the best feasible point seen. A
+closed-form path for single-layer decoders with orthonormal columns serves
+as the exact-projection oracle.
 """
 
 from __future__ import annotations
@@ -25,23 +25,18 @@ __all__ = [
     "projection_from_json",
 ]
 
-OPTIMIZERS = ("gauss_newton", "gradient_descent", "momentum", "adam_style")
 BALL_HANDLING = ("project_each_step", "project_at_end")
 INITS = ("zero", "gaussian")
 METHODS = ("descent", "exact_linear")
 # Gauss-Newton stops a row once a step moves its value by at most this share
 GN_STALL = 1e-6
-# constants of the first-order optimizers, which Gauss-Newton does not read
-MOMENTUM_BETA = 0.9
-ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class ProjectionConfig:
     steps: int = 200
-    learning_rate: float = 0.03
+    learning_rate: float = 0.03  # unread; perfbench/workloads.py still passes it
     restarts: int = 1
-    optimizer: str = "gauss_newton"  # the others use learning_rate
     init: str = "gaussian"
     ball_handling: str = "project_each_step"
     method: str = "descent"  # "exact_linear" routes to the analytic oracle
@@ -49,10 +44,6 @@ class ProjectionConfig:
     def __post_init__(self):
         if self.steps < 1 or self.restarts < 1:
             raise ValueError("steps and restarts must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning rate must be positive")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.ball_handling not in BALL_HANDLING:
             raise ValueError(f"unknown ball handling {self.ball_handling!r}")
         if self.init not in INITS:
@@ -125,9 +116,7 @@ def project_exact_linear(decoder, x):
 def projection_to_json(cfg):
     doc = {
         "steps": cfg.steps,
-        "lr": cfg.learning_rate,
         "restarts": cfg.restarts,
-        "optimizer": cfg.optimizer,
         "ball_handling": cfg.ball_handling,
     }
     if cfg.method != "descent":
@@ -140,8 +129,7 @@ def projection_to_json(cfg):
 def projection_from_json(doc):
     """The config of a ``projection_to_json`` document; absent keys keep
     their defaults."""
-    return ProjectionConfig(**{"learning_rate" if key == "lr" else key: value
-                               for key, value in doc.items()})
+    return ProjectionConfig(**doc)
 
 
 def _start_latents(decoder, cfg, seed, label, warm_start):
@@ -161,66 +149,30 @@ def _start_latents(decoder, cfg, seed, label, warm_start):
 
 
 def _descend(decoder, cfg, z, objective, metric=None, record=None):
-    """Latent descent of every row of z, (B, k), as one batch.
+    """Damped Gauss-Newton descent of every row of z, (B, k), as one batch.
 
     ``objective(fz, rows)`` maps the decoder outputs of batch rows ``rows``
-    to their values and output-space gradients. Gauss-Newton also takes
-    ``metric(jac, rows)``, the output Hessian pulled back through the
-    Jacobians, J^T J (that of 0.5 ||G(z) - x||^2) by default. ``record(rows,
-    fz, values)`` sees every iterate: the start, each first-order step, each
-    accepted Gauss-Newton step. Returns per row the first best feasible
-    latent seen, its value, and the number of steps whose raw update left
-    the ball.
+    to their values and output-space gradients; ``metric(jac, rows)`` is the
+    output Hessian pulled back through the Jacobians, J^T J (that of
+    0.5 ||G(z) - x||^2) by default. ``record(rows, fz, values)`` sees every
+    iterate: the start and each accepted step. Returns per row the first best
+    feasible latent seen, its value, and the number of steps whose raw update
+    left the ball.
     """
-    r = decoder.latent_radius
-    each_step = cfg.ball_handling == "project_each_step"
     every = np.arange(len(z))
     note = record or (lambda rows, fz, val: None)
     fz, hidden = genmodel._forward_cached(decoder, z)
     val, g = objective(fz, every)
     note(every, fz, val)
-    seen_z, seen_val = [z], [val]
-    if cfg.optimizer == "gauss_newton":
-        z, val, oob = _gauss_newton(decoder, cfg, z, val, hidden, g,
-                                    objective, metric, note)
-        if each_step:  # its values never rise: z is the best seen
-            seen_z, seen_val = [z], [val]
-    else:
-        norms = []
-        m = np.zeros_like(z)
-        v = np.zeros_like(z)
-        for t in range(1, cfg.steps + 1):
-            grad = genmodel._vjp_cached(decoder, hidden, g)
-            if cfg.optimizer == "gradient_descent":
-                z = z - cfg.learning_rate * grad
-            elif cfg.optimizer == "momentum":
-                m = MOMENTUM_BETA * m + grad
-                z = z - cfg.learning_rate * m
-            else:
-                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
-                v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
-                mhat = m / (1 - ADAM_BETA1 ** t)
-                vhat = v / (1 - ADAM_BETA2 ** t)
-                z = z - cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-            nrm = np.sqrt(np.add.reduce(z * z, 1))
-            norms.append(nrm)
-            if each_step and (nrm > r).any():
-                z = _clip_rows(z, nrm, r)
-            fz, hidden = genmodel._forward_cached(decoder, z)
-            val, g = objective(fz, every)
-            note(every, fz, val)
-            if each_step:
-                seen_z.append(z)
-                seen_val.append(val)
-        oob = np.sum(np.array(norms) > r, axis=0)
-    if not each_step:
-        z = _clip_rows(z, np.sqrt(np.add.reduce(z * z, 1)), r)
-        val, _ = objective(genmodel._forward_cached(decoder, z)[0], every)
-        seen_z.append(z)
-        seen_val.append(val)
-    seen_val = np.array(seen_val)
-    first = _first_min(seen_val, axis=0)
-    return np.array(seen_z)[first, every], seen_val[first, every], oob
+    end, end_val, oob = _gauss_newton(decoder, cfg, z, val, hidden, g,
+                                      objective, metric, note)
+    if cfg.ball_handling == "project_each_step":
+        return end, end_val, oob  # its values never rise: the best seen
+    end = _clip_rows(end, np.sqrt(np.add.reduce(end * end, 1)),
+                     decoder.latent_radius)
+    end_val, _ = objective(genmodel._forward_cached(decoder, end)[0], every)
+    last = _first_min(np.array([val, end_val]), axis=0) == 1
+    return np.where(last[:, None], end, z), np.where(last, end_val, val), oob
 
 
 def _gauss_newton(decoder, cfg, z, val, hidden, g, objective, metric, note):

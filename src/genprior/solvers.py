@@ -122,11 +122,12 @@ def pgd_nlasso(op, y_tilde, link, decoder, cfg, target=None):
 
 
 def csgm_baseline(op, y_tilde, decoder, cfg, target=None, warm_start=None):
-    """Descent over the latent variable on the linear loss (no projection).
+    """Damped Gauss-Newton descent over the latent variable on the linear
+    loss (no projection).
 
-    Restart and optimizer settings are taken from cfg.projection; a latent
-    warm start, when given, runs as restart 0. Returns the decoded best
-    latent across restarts.
+    Step cap, restarts and ball handling are taken from cfg.projection; a
+    latent warm start, when given, runs as restart 0. Returns the decoded
+    best latent across restarts.
     """
     return _solve_group("csgm", [op], [y_tilde], None, decoder, cfg,
                         [cfg.seed], [target], [warm_start])[0]

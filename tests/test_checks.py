@@ -3,7 +3,7 @@ oracles, and the row-batched operator against per-row calls."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from genprior import analysis, genmodel, sensing
@@ -145,15 +145,21 @@ any_operators = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(op=any_operators, m=st.integers(0, 5), seed=st.integers(0, 2 ** 32))
+# A x is exactly 0 here, while <x, A^T v> rounds to 3e-16
+@example(op=sensing.sensing_new("partial_circulant", 1, 2, 3), m=0, seed=3)
 def test_adjoint_identity(op, m, seed):
-    # <A x, v> = <x, A^T v> for a vector (m = 0) or each of m stacked rows
+    # <A x, v> = <x, A^T v> for a vector (m = 0) or each of m stacked rows,
+    # to 1e-10 of the larger Cauchy-Schwarz bound of the two sides, a scale
+    # that stays positive where the inner product itself is 0
     rng = np.random.default_rng(seed)
     rows = (m,) if m else ()
     x = rng.standard_normal(rows + (op.p,))
     v = rng.standard_normal(rows + (op.n,))
-    lhs = np.vecdot(sensing.apply(op, x), v)
-    rhs = np.vecdot(x, sensing.adjoint_apply(op, v))
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+    ax, atv = sensing.apply(op, x), sensing.adjoint_apply(op, v)
+    lhs, rhs = np.vecdot(ax, v), np.vecdot(x, atv)
+    norm = np.linalg.norm
+    scale = np.maximum(norm(ax, axis=-1) * norm(v, axis=-1),
+                       norm(x, axis=-1) * norm(atv, axis=-1))
     assert np.all(np.abs(lhs - rhs) <= 1e-10 * scale)
 
 

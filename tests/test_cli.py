@@ -30,7 +30,7 @@ def write_config(path, **overrides):
 
 
 def set_key(cfg, name, value):
-    """Set the config key called name, such as "solver.projection.lr", to
+    """Set the config key called name, such as "solver.projection.steps", to
     value, or delete it when value is ABSENT; sections are created as needed,
     and nothing is set below a section that is not an object."""
     *sections, key = name.split(".")
@@ -495,6 +495,12 @@ class TestConfigErrors:
         ({"solver": {"kind": "pgd_glasso", "projection": {"step": 3}}},
          "solver.projection.step"),
         ({"seed": 3}, "seed"),
+        # the keys of the deleted first-order optimizers
+        ({"solver": {"kind": "pgd_glasso",
+                     "projection": {"optimizer": "gauss_newton"}}},
+         "solver.projection.optimizer"),
+        ({"solver": {"kind": "pgd_glasso", "projection": {"lr": 0.03}}},
+         "solver.projection.lr"),
     ])
     def test_unknown_key(self, tmp_path, capsys, overrides, name):
         code, err = self._rejected(tmp_path, capsys, **overrides)
@@ -518,8 +524,8 @@ class TestConfigErrors:
         ("solve", {"out_dir": 5}, "out_dir: expected"),
         ("solve", {"master_seed": "abc"}, "master_seed: expected"),
         ("solve", {"master_seed": 1.5}, "master_seed: expected"),
-        ("solve", {"solver.projection.lr": True},
-         "solver.projection.lr: expected"),
+        ("solve", {"solver.projection.steps": True},
+         "solver.projection.steps: expected"),
         ("solve", {"decoder.r": "3"}, "decoder.r: expected"),
         ("solve", {"decoder.r": float("nan")}, "decoder.r: expected"),
         ("solve", {"decoder.r": 10 ** 400}, "decoder.r: expected"),

@@ -1,4 +1,4 @@
-"""The Gauss-Newton latent projection, the default optimizer.
+"""The Gauss-Newton latent projection, the only latent descent.
 
 Its Jacobian against finite differences, its exactness where the projection
 has a closed form, its feasibility, the independence of the rows of a batch,
@@ -93,8 +93,8 @@ def test_nan_target_row_freezes_and_leaves_the_others_alone():
 
 
 def test_singular_jacobian_takes_no_step():
-    # relu at z = 0 has J = 0, so M = 0: the row is stationary, as it is for
-    # the first-order optimizers, and the solve divides by no zero
+    # relu at z = 0 has J = 0, so M = 0: the row is stationary, as it is
+    # for gradient descent, and the solve divides by no zero
     dec = genmodel.decoder_new(1, 3, [8], 12, 1.0, "relu", 1.0)
     x = np.random.default_rng(0).standard_normal(12)
     with warnings.catch_warnings():

@@ -4,8 +4,8 @@ A group advances the trials of consecutive seeds together, with one batched
 latent descent per PGD iteration (or one for the whole CSGM run). Its rows
 never mix, so each trial must match its own ``solve_instance`` up to the
 rounding difference between batched and single-row products, asserted to
-1e-10 as in ``test_descent.py``. The runs are short for the same reason as
-there: near a minimizer, best-seen tracking settles near-ties by round-off.
+1e-10 as in ``test_descent.py``. The runs are short: near a minimizer,
+best-seen tracking settles near-ties by round-off.
 """
 
 import math
@@ -27,13 +27,10 @@ KINDS = (("pgd_glasso", "sim", 1.0), ("pgd_nlasso", "known", 0.2),
 SENSING_KINDS = ("dense_gaussian", "partial_circulant")
 
 
-def short_setup(kind, observation, step, sensing_kind,
-                optimizer="gauss_newton"):
+def short_setup(kind, observation, step, sensing_kind):
     dec = genmodel.decoder_new(31, 3, [12], 20, 1.5, "tanh", 1.0)
     cfg = SolverConfig(step_size=step, iterations=3, x0_mode="zero",
-                       projection=ProjectionConfig(steps=15, restarts=2,
-                                                   learning_rate=0.05,
-                                                   optimizer=optimizer))
+                       projection=ProjectionConfig(steps=15, restarts=2))
     return analysis.TrialSetup(
         decoder=dec, link=measurement.shifted_cosine_link(sigma=0.1),
         solver_kind=kind, solver_cfg=cfg, sensing_kind=sensing_kind,
@@ -52,7 +49,10 @@ def assert_matches_solo(got, solo):
         assert a == b or abs(a - b) <= TOL, (field, a, b)
 
 
-def check_group_matches_solo(setup):
+@pytest.mark.parametrize("kind,observation,step", KINDS)
+@pytest.mark.parametrize("sensing_kind", SENSING_KINDS)
+def test_group_matches_solo_solves(kind, observation, step, sensing_kind):
+    setup = short_setup(kind, observation, step, sensing_kind)
     seeds = [derive_seed(4, "lockstep", i) for i in range(4)]
     solo = [analysis.solve_instance(setup, 12, s) for s in seeds]
     for size in (1, 2, 3, 4):
@@ -65,7 +65,10 @@ def check_group_matches_solo(setup):
     assert analysis.run_trials(setup, 12, []) == []
 
 
-def check_non_finite_trial(setup, monkeypatch):
+@pytest.mark.parametrize("kind,observation,step", KINDS)
+def test_non_finite_trial_leaves_the_others_alone(kind, observation, step,
+                                                  monkeypatch):
+    setup = short_setup(kind, observation, step, "dense_gaussian")
     seeds = [derive_seed(5, "lockstep", i) for i in range(3)]
     solo = [analysis.solve_instance(setup, 12, s) for s in seeds]
     poisoned = derive_seed(seeds[1], "observe")
@@ -84,37 +87,6 @@ def check_non_finite_trial(setup, monkeypatch):
     assert math.isnan(group[1].record.loss)
     for i in (0, 2):
         assert_matches_solo(group[i], solo[i])
-
-
-# Each check runs at the default optimizer, gauss_newton, and again at
-# adam_style under a name of its own, so a failure names its optimizer.
-@pytest.mark.parametrize("kind,observation,step", KINDS)
-@pytest.mark.parametrize("sensing_kind", SENSING_KINDS)
-def test_group_matches_solo_solves(kind, observation, step, sensing_kind):
-    check_group_matches_solo(short_setup(kind, observation, step, sensing_kind))
-
-
-@pytest.mark.parametrize("kind,observation,step", KINDS)
-@pytest.mark.parametrize("sensing_kind", SENSING_KINDS)
-def test_group_matches_solo_solves_adam_style(kind, observation, step,
-                                              sensing_kind):
-    check_group_matches_solo(short_setup(kind, observation, step,
-                                         sensing_kind, "adam_style"))
-
-
-@pytest.mark.parametrize("kind,observation,step", KINDS)
-def test_non_finite_trial_leaves_the_others_alone(kind, observation, step,
-                                                  monkeypatch):
-    check_non_finite_trial(short_setup(kind, observation, step,
-                                       "dense_gaussian"), monkeypatch)
-
-
-@pytest.mark.parametrize("kind,observation,step", KINDS)
-def test_non_finite_trial_leaves_the_others_alone_adam_style(
-        kind, observation, step, monkeypatch):
-    check_non_finite_trial(short_setup(kind, observation, step,
-                                       "dense_gaussian", "adam_style"),
-                           monkeypatch)
 
 
 BUDGET = analysis.OPERATOR_BUDGET
@@ -193,8 +165,7 @@ def test_split_rate_table_does_not_depend_on_threads():
 def test_batched_projection_stays_in_ball(targets, k, restarts, ball, scale,
                                           seed):
     dec = genmodel.decoder_new(seed, k, [6], 9, 1.0, "tanh", 1.0)
-    cfg = ProjectionConfig(steps=8, learning_rate=0.3, restarts=restarts,
-                           optimizer="adam_style", ball_handling=ball)
+    cfg = ProjectionConfig(steps=8, restarts=restarts, ball_handling=ball)
     rng = np.random.default_rng(seed)
     x = scale * rng.standard_normal((targets, dec.ambient_dim))
     warm = [scale * rng.standard_normal(k) if t % 2 else None

@@ -262,8 +262,7 @@ class TestCsgm:
         dec = genmodel.identity_decoder(8, r=1.0)
         op = sensing.SensingOperator("dense_gaussian", 8, 8, 0, matrix=np.eye(8))
         y = np.full(8, 2.0)  # outside the ball, norm sqrt(8)*2
-        pcfg = ProjectionConfig(steps=100, learning_rate=4.0,
-                                optimizer="gradient_descent", init="zero")
+        pcfg = ProjectionConfig(steps=100, init="zero")
         cfg = SolverConfig(step_size=1.0, iterations=1, projection=pcfg, seed=0)
         x_hat, _ = solvers.csgm_baseline(op, y, dec, cfg)
         expected = y / np.linalg.norm(y)  # radial clip of y onto the ball
