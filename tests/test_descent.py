@@ -1,11 +1,13 @@
 """The batched latent-descent kernel against each of its rows descended
 alone.
 
-A projection descends all its restarts as one batch of Gauss-Newton rows.
-The rows never mix: each must match the descent of its start latent as a
-batch of its own, in latent, value and out-of-ball step count. Batched and
-one-row products round differently, so agreement is asserted to 1e-10, not
-bitwise.
+A projection or a CSGM solve descends all its restarts as one batch of
+Gauss-Newton rows. The rows never mix: each must match the descent of its
+start latent as a batch of its own, in latent, value and out-of-ball step
+count, whether the fit is the distance to a target (projection) or a
+measurement loss with its own metric (CSGM, on either sensing operator).
+Batched and one-row products round differently, so agreement is asserted to
+1e-10, not bitwise.
 """
 
 import itertools
@@ -19,7 +21,8 @@ from genprior.solvers import SolverConfig
 
 TOL = 1e-10
 
-GRID = list(itertools.product(("project_each_step", "project_at_end"),
+GRID = list(itertools.product(("distance",) + sensing.KINDS,
+                              ("project_each_step", "project_at_end"),
                               ("tanh", "relu", "identity")))
 
 
@@ -27,8 +30,30 @@ def _decoder(activation):
     return genmodel.decoder_new(31, 3, [12], 20, 1.0, activation, 1.0)
 
 
-@pytest.mark.parametrize("ball,activation", GRID)
-def test_project_matches_rows_descended_alone(ball, activation):
+def _fit(dec, fit, x):
+    """Label, objective and metric of a descent towards x: the distance to
+    x, or the CSGM loss of measurements of x on a sensing operator."""
+    if fit == "distance":
+        def objective(fz, rows):
+            d = fz - x
+            return 0.5 * np.add.reduce(d * d, 1), d
+        return "restart", objective, None, None
+    op = sensing.sensing_new(fit, 12, dec.ambient_dim, 5)
+    y = sensing.apply(op, x)
+
+    def objective(fz, rows):
+        fits = [solvers._fit(op, y, None, xv) for xv in fz]
+        return np.array([v for v, _ in fits]), np.array([g for _, g in fits])
+
+    def metric(jac, rows):
+        aj = [sensing.apply(op, jt) / np.sqrt(op.n)
+              for jt in np.swapaxes(jac, 1, 2)]
+        return np.array([a @ a.T for a in aj])
+    return "csgm-restart", objective, metric, (op, y)
+
+
+@pytest.mark.parametrize("fit,ball,activation", GRID)
+def test_batch_matches_rows_alone(fit, ball, activation):
     dec = _decoder(activation)
     rng = np.random.default_rng(7)
     oob_seen = 0
@@ -40,24 +65,30 @@ def test_project_matches_rows_descended_alone(ball, activation):
         edge /= np.linalg.norm(edge)
         x = (genmodel.forward(dec, 2.0 * edge)
              + 0.3 * rng.standard_normal(dec.ambient_dim))
-
-        def objective(fz, rows):
-            d = fz - x
-            return 0.5 * np.add.reduce(d * d, 1), d
+        label, objective, metric, measured = _fit(dec, fit, x)
 
         for warm in (None, edge):
-            z0 = projection._start_latents(dec, cfg, restarts, "restart", warm)
-            z, val, oob = projection._descend(dec, cfg, z0, objective)
+            z0 = projection._start_latents(dec, cfg, restarts, label, warm)
+            z, val, oob = projection._descend(dec, cfg, z0, objective, metric)
             for i, row in enumerate(z0):
-                zi, vi, oi = projection._descend(dec, cfg, row[None], objective)
+                zi, vi, oi = projection._descend(dec, cfg, row[None],
+                                                 objective, metric)
                 assert np.max(np.abs(z[i] - zi[0])) <= TOL
                 assert abs(val[i] - vi[0]) <= TOL
                 assert oob[i] == oi[0]
-            got = projection.project(dec, x, cfg, seed=restarts, warm_start=warm)
-            i = got.restart_index
-            assert i == projection._first_min(val)
-            assert np.array_equal(got.z_hat, z[i])
-            assert got.out_of_ball_steps == oob[i]
+            i = projection._first_min(val)
+            if measured is None:
+                got = projection.project(dec, x, cfg, seed=restarts,
+                                         warm_start=warm)
+                assert got.restart_index == i
+                assert np.array_equal(got.z_hat, z[i])
+                assert got.out_of_ball_steps == oob[i]
+            else:
+                scfg = SolverConfig(step_size=1.0, projection=cfg,
+                                    seed=restarts)
+                x_hat, _ = solvers.csgm_baseline(*measured, dec, scfg,
+                                                 warm_start=warm)
+                assert np.array_equal(x_hat, genmodel.forward(dec, z[i]))
             oob_seen += oob.sum()
     assert oob_seen > 0
 
