@@ -9,6 +9,8 @@ aggregates medians against the k log(L r / delta) / n scaling.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -546,7 +548,34 @@ def _split_trials(seeds, cells):
 
 
 def _run_trials_star(job):
-    return run_trials(*job)
+    """run_trials(*job) with one OpenBLAS thread, then the count as found:
+    OpenBLAS rounds differently at different thread counts, so a rate table
+    depends neither on ``threads`` nor on the host's BLAS thread count."""
+    blas = _openblas()
+    before = [get() for get, _ in blas]
+    for _, put in blas:
+        put(1)
+    try:
+        return run_trials(*job)
+    finally:
+        for (_, put), count in zip(blas, before):
+            put(count)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of each OpenBLAS listed in
+    /proc/self/maps; empty where none is listed or the file is missing."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = [ctypes.CDLL(path) for path in sorted(
+                {ln.split(None, 5)[-1].strip() for ln in fh if "openblas" in ln})]
+    except OSError:  # not Linux, or a mapping marked "(deleted)"
+        return ()
+    names = (("scipy_openblas_", "_num_threads64_"), ("openblas_", "_num_threads"))
+    return tuple((getattr(lib, pre + "get" + suf), getattr(lib, pre + "set" + suf))
+                 for lib in libs for pre, suf in names
+                 if hasattr(lib, pre + "get" + suf))
 
 
 def report_to_json(report):

@@ -155,9 +155,10 @@ def _descend(decoder, cfg, z, objective, metric=None, record=None):
     to their values and output-space gradients; ``metric(jac, rows)`` is the
     output Hessian pulled back through the Jacobians, J^T J (that of
     0.5 ||G(z) - x||^2) by default. ``record(rows, fz, values)`` sees every
-    iterate: the start and each accepted step. Returns per row the first best
-    feasible latent seen, its value, and the number of steps whose raw update
-    left the ball.
+    iterate: the start and each accepted step, then, under project_at_end,
+    the returned point of each row where that is not its last iterate.
+    Returns per row the first best feasible latent seen, its value, and the
+    number of steps whose raw update left the ball.
     """
     every = np.arange(len(z))
     note = record or (lambda rows, fz, val: None)
@@ -168,11 +169,15 @@ def _descend(decoder, cfg, z, objective, metric=None, record=None):
                                       objective, metric, note)
     if cfg.ball_handling == "project_each_step":
         return end, end_val, oob  # its values never rise: the best seen
-    end = _clip_rows(end, np.sqrt(np.add.reduce(end * end, 1)),
-                     decoder.latent_radius)
-    end_val, _ = objective(genmodel._forward_cached(decoder, end)[0], every)
+    clipped = _clip_rows(end, np.sqrt(np.add.reduce(end * end, 1)),
+                         decoder.latent_radius)
+    end_fz = genmodel._forward_cached(decoder, clipped)[0]
+    end_val, _ = objective(end_fz, every)
     last = _first_min(np.array([val, end_val]), axis=0) == 1
-    return np.where(last[:, None], end, z), np.where(last, end_val, val), oob
+    best, val = np.where(last[:, None], clipped, z), np.where(last, end_val, val)
+    moved = np.flatnonzero(np.any(best != end, axis=1))  # not the last iterate
+    note(moved, np.where(last[:, None], end_fz, fz)[moved], val[moved])
+    return best, val, oob
 
 
 def _gauss_newton(decoder, cfg, z, val, hidden, g, objective, metric, note):

@@ -194,6 +194,19 @@ class TestContractionFit:
             analysis.contraction_fit(Trajectory(), 1e-8)
 
 
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS set to two threads for the test, then restored;
+    yields their (get, set) pairs, empty where no OpenBLAS is loaded."""
+    blas = analysis._openblas()
+    before = [get() for get, _ in blas]
+    for _, set_threads in blas:
+        set_threads(2)
+    yield blas
+    for (_, set_threads), count in zip(blas, before):
+        set_threads(count)
+
+
 def tiny_noiseless_setup(seed=5):
     dec = genmodel.orthonormal_linear_decoder(seed, 3, 32, 3.0)
     link = measurement.linear_link()
@@ -244,6 +257,52 @@ class TestRateExperiment:
         a = analysis.rate_experiment([40, 80], 10, setup, seed=3, threads=1)
         b = analysis.rate_experiment([40, 80], 10, setup, seed=3, threads=2)
         assert a == b
+
+    @pytest.mark.parametrize("kind", ["dense_gaussian", "partial_circulant"])
+    def test_wide_decoder_table_does_not_depend_on_threads(self, kind,
+                                                           two_blas_threads):
+        # at the `model new` decoder OpenBLAS rounds differently at one and
+        # two threads, so the serial path must compute with one thread too
+        dec = genmodel.decoder_new(0, 20, [500, 500], 784, 3.0, "tanh", 1.0)
+        cfg = SolverConfig(step_size=1.0, iterations=3, x0_mode="zero")
+        setup = analysis.TrialSetup(decoder=dec, link=measurement.linear_link(),
+                                    solver_kind="pgd_glasso", solver_cfg=cfg,
+                                    sensing_kind=kind)
+        a = analysis.rate_experiment([200], 10, setup, seed=1, threads=1)
+        b = analysis.rate_experiment([200], 10, setup, seed=1, threads=2)
+        assert a == b
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rate_jobs_run_with_one_blas_thread(self, threads,
+                                                two_blas_threads, monkeypatch):
+        if not two_blas_threads:
+            pytest.skip("no OpenBLAS loaded")
+        get = two_blas_threads[0][0]
+        real = analysis.run_trials
+
+        def spy(setup, n, seeds):  # each error reads the job's thread count
+            return [replace(r, error=float(get()))
+                    for r in real(setup, n, seeds)]
+
+        monkeypatch.setattr(analysis, "run_trials", spy)
+        table = analysis.rate_experiment([40, 80], 10, tiny_noiseless_setup(),
+                                         seed=3, threads=threads)
+        assert {(r.q25, r.q75) for r in table.rows} == {(1.0, 1.0)}
+        assert [g() for g, _ in two_blas_threads] == [2] * len(two_blas_threads)
+
+    def test_blas_thread_count_restored_when_a_job_raises(self,
+                                                          two_blas_threads,
+                                                          monkeypatch):
+        if not two_blas_threads:
+            pytest.skip("no OpenBLAS loaded")
+
+        def fail(setup, n, seeds):
+            raise RuntimeError("job failed")
+
+        monkeypatch.setattr(analysis, "run_trials", fail)
+        with pytest.raises(RuntimeError, match="job failed"):
+            analysis.rate_experiment([40], 10, tiny_noiseless_setup(), seed=3)
+        assert [g() for g, _ in two_blas_threads] == [2] * len(two_blas_threads)
 
     def test_validation(self):
         setup = tiny_noiseless_setup()

@@ -291,6 +291,25 @@ class TestCsgm:
         x_hat, _ = solvers.csgm_baseline(op, y, dec, cfg)
         assert np.linalg.norm(x_hat) <= 0.5 + 1e-12
 
+    def test_project_at_end_last_loss_is_that_of_the_returned_point(self):
+        # the end-of-descent clip (or the fallback to the start) moves the
+        # returned point off the last accepted iterate; the trajectory's
+        # last loss, which becomes TrialRecord.loss, must follow it
+        dec = genmodel.decoder_new(31, 3, [12], 20, 1.0, "identity")
+        op = sensing.sensing_new("dense_gaussian", 12, 20, 5)
+        pcfg = ProjectionConfig(steps=15, restarts=3,
+                                ball_handling="project_at_end")
+        cfg = SolverConfig(step_size=1.0, iterations=1, projection=pcfg,
+                           seed=3)
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            y = 3 * rng.standard_normal(12)
+            warm = rng.standard_normal(3)
+            x_hat, traj = solvers.csgm_baseline(op, y, dec, cfg,
+                                                warm_start=warm)
+            got = solvers.loss_glasso(op, y, x_hat)
+            assert traj.loss_values[-1] == pytest.approx(got, rel=1e-12)
+
 
 class TestTrajectoryCsv:
     def test_schema(self, tmp_path):
