@@ -88,14 +88,15 @@ def _range_blocks(decoder, seed, tags, pairs):
     """Decoder range points of pairs 0..pairs-1, CHECK_BLOCK pairs at a time.
 
     For each block of consecutive pair indices i, yields one (b, p) array per
-    tag whose rows are G(z_i), z_i drawn as ``sample_latent(decoder,
-    derive_seed(seed, tag, i), inset=1.0)``. Every latent is sampled up front,
-    so all their seeds are hashed in one pass; a block's latents of every tag
-    are decoded in one batch.
+    tag whose rows are G(z_i), where z_0, z_1, ... are a tag's
+    ``_sample_latents`` draws from ``default_rng(derive_seed(seed, tag))``
+    with inset 1. Every latent is sampled up front; a block's latents of
+    every tag are decoded in one batch.
     """
     k = decoder.latent_dim
-    seeds = [derive_seed(seed, tag, i) for tag in tags for i in range(pairs)]
-    z = genmodel._sample_latents(decoder, seeds, 1.0).reshape(len(tags), pairs, k)
+    z = np.stack([genmodel._sample_latents(
+        decoder, np.random.default_rng(derive_seed(seed, tag)), pairs, 1.0)
+        for tag in tags])
     for start in range(0, pairs, CHECK_BLOCK):
         block = z[:, start:start + CHECK_BLOCK].reshape(-1, k)
         yield np.split(genmodel._forward_cached(decoder, block)[0], len(tags))

@@ -108,11 +108,12 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run one configured reconstruction")
-    _common_flags(solve, config_required=True)
+    _common_flags(solve)
     solve.set_defaults(func=cmd_solve)
 
     rate = sub.add_parser("rate", help="error vs measurement-count grid")
-    _common_flags(rate, config_required=True)
+    _common_flags(rate)
+    rate.add_argument("--threads", type=int, default=1)
     rate.set_defaults(func=cmd_rate)
 
     check = sub.add_parser("check", help="run a named verification suite")
@@ -147,11 +148,10 @@ def _build_parser():
     return p
 
 
-def _common_flags(sp, config_required):
-    sp.add_argument("--config", required=config_required, help="JSON config path")
+def _common_flags(sp):
+    sp.add_argument("--config", required=True, help="JSON config path")
     sp.add_argument("--out", default=None, help="output directory override")
     sp.add_argument("--seed", type=int, default=None, help="master seed override")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--quiet", action="store_true")
 
 

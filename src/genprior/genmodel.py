@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeding import _pcg64_states, derive_seed
+from .seeding import derive_seed
 from .sensing import _power_norm
 
 __all__ = [
@@ -200,24 +200,19 @@ def sample_latent(decoder, seed, inset=0.9):
     The default inset keeps planted signals strictly interior to the latent
     ball, away from projection boundary effects.
     """
-    return _sample_latents(decoder, [seed], inset)[0]
+    return _sample_latents(decoder, np.random.default_rng(seed), 1, inset)[0]
 
 
-def _sample_latents(decoder, seeds, inset):
-    """One ``sample_latent`` draw per seed, as the rows of a (len(seeds), k)
-    array. Each row equals its one-seed draw bit for bit: the radius is
-    computed in Python floats, and ``vecdot`` rounds like the 1-D norm. One
-    generator is reused: each seed's ``default_rng`` state is derived for all
-    seeds at once and set before its draws."""
+def _sample_latents(decoder, rng, count, inset):
+    """``count`` uniform draws from the ball of radius inset * r, as the rows
+    of a (count, k) array: every direction from rng first, then every radius.
+    One draw consumes the stream as ``sample_latent`` does. The radius is
+    computed in Python floats, which round unlike numpy's array power."""
     k = decoder.latent_dim
-    d = np.empty((len(seeds), k))
-    radius = np.empty(len(seeds))
-    rng = np.random.Generator(np.random.PCG64(0))
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for i, (s, inc) in enumerate(_pcg64_states(seeds)):
-        rng.bit_generator.state = {**state, "state": {"state": s, "inc": inc}}
-        d[i] = rng.standard_normal(k)
-        radius[i] = decoder.latent_radius * inset * rng.random() ** (1.0 / k)
+    d = rng.standard_normal((count, k))
+    scale = decoder.latent_radius * inset
+    radius = np.array([scale * u ** (1.0 / k)
+                       for u in rng.random(count).tolist()])
     return radius[:, None] * (d / np.sqrt(np.vecdot(d, d))[:, None])
 
 

@@ -8,7 +8,7 @@ and its gain mu = E[f(g) g] for standard normal g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class LinkModel:
 class Observation:
     y_tilde: np.ndarray
     y_clean: np.ndarray
-    x_star: np.ndarray
-    z_star: np.ndarray | None
-    seeds: dict = field(default_factory=dict)
     tau_used: float = 0.0
 
     def __post_init__(self):
@@ -152,14 +149,9 @@ def observe_sim(link, op, x_star, seed):
     if abs(np.linalg.norm(x_star) - 1.0) > 1e-9:
         raise ValueError("observe_sim requires a unit-norm signal")
     t = sensing.apply(op, x_star)
-    link_seed = derive_seed(seed, "link")
-    y_clean = link_eval(link, t, seed=link_seed)
-    corrupt_seed = derive_seed(seed, "corrupt")
-    y_tilde = corrupt(y_clean, link.tau, corrupt_seed)
-    return Observation(y_tilde, y_clean, x_star, None,
-                       seeds={"observe": int(seed), "link": link_seed,
-                              "corrupt": corrupt_seed},
-                       tau_used=link.tau)
+    y_clean = link_eval(link, t, seed=derive_seed(seed, "link"))
+    y_tilde = corrupt(y_clean, link.tau, derive_seed(seed, "corrupt"))
+    return Observation(y_tilde, y_clean, tau_used=link.tau)
 
 
 def observe_known(link, op, x_star, seed):
@@ -174,12 +166,8 @@ def observe_known(link, op, x_star, seed):
     noise_seed = derive_seed(seed, "noise")
     eta = np.random.default_rng(noise_seed).standard_normal(op.n) * link.sigma
     y_clean = link_eval(link, t) + eta
-    corrupt_seed = derive_seed(seed, "corrupt")
-    y_tilde = corrupt(y_clean, link.tau, corrupt_seed)
-    return Observation(y_tilde, y_clean, x_star, None,
-                       seeds={"observe": int(seed), "noise": noise_seed,
-                              "corrupt": corrupt_seed},
-                       tau_used=link.tau)
+    y_tilde = corrupt(y_clean, link.tau, derive_seed(seed, "corrupt"))
+    return Observation(y_tilde, y_clean, tau_used=link.tau)
 
 
 def corrupt(y, tau, seed):

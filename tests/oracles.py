@@ -40,7 +40,7 @@ def spectral_norm(op, tol):
 
 def sample_latent(decoder, seed, inset=0.9):
     """One uniform draw from the ball of radius inset * r, sampled alone;
-    the oracle for ``genmodel._sample_latents``."""
+    the oracle for ``genmodel.sample_latent``."""
     rng = np.random.default_rng(seed)
     k = decoder.latent_dim
     direction = rng.standard_normal(k)
@@ -49,15 +49,33 @@ def sample_latent(decoder, seed, inset=0.9):
     return radius * direction
 
 
+def ball_draws(decoder, rng, count, inset):
+    """count uniform draws from the ball of radius inset * r, one row at a
+    time: every direction from rng first, then every radius; the oracle for
+    ``genmodel._sample_latents``."""
+    k = decoder.latent_dim
+    directions = [rng.standard_normal(k) for _ in range(count)]
+    radii = [decoder.latent_radius * inset * rng.uniform() ** (1.0 / k)
+             for _ in range(count)]
+    return [r * (d / np.linalg.norm(d)) for r, d in zip(radii, directions)]
+
+
+def range_points(decoder, seed, tag, pairs):
+    """G(z_i) for the pairs latents of one range-check tag, each decoded
+    alone; the latents are drawn from the tag's one stream."""
+    rng = np.random.default_rng(derive_seed(seed, tag))
+    return [genmodel.forward(decoder, z)
+            for z in ball_draws(decoder, rng, pairs, 1.0)]
+
+
 def tsrec_check(op, decoder, eps, delta, pairs, seed):
     """(violations, worst_margin) of ``analysis.tsrec_check``, one pair at a
     time through the single-vector forward pass and operator."""
     violations = 0
     worst = 0.0
-    for i in range(pairs):
-        z1 = sample_latent(decoder, derive_seed(seed, "tsrec-a", i), inset=1.0)
-        z2 = sample_latent(decoder, derive_seed(seed, "tsrec-b", i), inset=1.0)
-        d = genmodel.forward(decoder, z1) - genmodel.forward(decoder, z2)
+    for x1, x2 in zip(*(range_points(decoder, seed, tag, pairs)
+                        for tag in ("tsrec-a", "tsrec-b"))):
+        d = x1 - x2
         nd = np.linalg.norm(d)
         s = np.linalg.norm(sensing.apply(op, d)) / np.sqrt(op.n)
         if s > (1 + eps) * nd + delta or s < (1 - eps) * nd - delta:
@@ -73,13 +91,10 @@ def wnu_check(op, decoder, nu, eps, pairs, seed, slack):
     bound_coef = solvers.mu1_of(nu, eps) + slack
     violations = 0
     worst = math.inf
-    for i in range(pairs):
-        xs = []
-        for tag in ("wnu-a", "wnu-b", "wnu-c", "wnu-d"):
-            z = sample_latent(decoder, derive_seed(seed, tag, i), inset=1.0)
-            xs.append(genmodel.forward(decoder, z))
-        x1 = xs[0] - xs[1]
-        x2 = xs[2] - xs[3]
+    for xa, xb, xc, xd in zip(*(range_points(decoder, seed, tag, pairs)
+                                for tag in ("wnu-a", "wnu-b", "wnu-c", "wnu-d"))):
+        x1 = xa - xb
+        x2 = xc - xd
         wx1 = x1 - (nu / op.n) * sensing.adjoint_apply(op, sensing.apply(op, x1))
         lhs = abs(float(wx1 @ x2))
         scale = np.linalg.norm(x1) * np.linalg.norm(x2)

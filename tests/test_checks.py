@@ -23,12 +23,29 @@ def test_sample_latents_equal_single_draws_bitwise(k, inset):
     derived = [derive_seed(k, "latent", i) for i in range(300)]
     seeds = (derived + list(range(300)) + [np.uint64(s) for s in derived[:50]]
              + list(np.random.default_rng(k).integers(2 ** 63, size=50)))
-    batch = genmodel._sample_latents(dec, seeds, inset)
-    assert batch.shape == (len(seeds), k)
-    for seed, row in zip(seeds, batch):
+    for seed in seeds:
         want = oracles.sample_latent(dec, seed, inset)
-        assert np.array_equal(row, want)
         assert np.array_equal(genmodel.sample_latent(dec, seed, inset), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 40), count=st.integers(1, 60),
+       inset=st.floats(0.05, 1.0), seed=st.integers(0, 2 ** 64 - 1))
+def test_sample_latents_lie_in_the_ball_and_match_the_row_oracle(
+        k, count, inset, seed):
+    # every row is the per-row oracle's bit for bit, and so is sample_latent,
+    # the one-row draw: a radius computed with numpy's array power instead of
+    # Python's float pow rounds differently. Row 0 of a longer draw is not
+    # sample_latent's, as its radius is drawn after every direction.
+    dec = genmodel.identity_decoder(k, r=2.5)
+    rows = genmodel._sample_latents(dec, np.random.default_rng(seed), count,
+                                    inset)
+    assert rows.shape == (count, k)
+    assert np.all(np.linalg.norm(rows, axis=1) <= inset * 2.5 * (1 + 1e-12))
+    assert np.array_equal(rows, oracles.ball_draws(
+        dec, np.random.default_rng(seed), count, inset))
+    assert np.array_equal(genmodel.sample_latent(dec, seed, inset),
+                          oracles.sample_latent(dec, seed, inset))
 
 
 OPERATORS = [("dense_gaussian", 200), ("dense_gaussian", 3),
@@ -75,22 +92,30 @@ def test_undersampled_oracle_cases_have_violations():
                              analysis.WNU_SLACK)[0] > 0
 
 
-def test_range_checks_never_construct_a_generator_per_point(monkeypatch):
-    # every latent's generator state is derived in one pass, not by a
-    # default_rng per point; the draws still match the serial oracles
+def test_range_checks_construct_one_generator_per_tag(monkeypatch):
+    # each tag's latents come from one default_rng, not one per point; the
+    # draws still match the serial oracles
     dec = check_decoder()
     op = sensing.sensing_new("dense_gaussian", 1000, dec.ambient_dim,
                              derive_seed(1000, "guard"))
     want_tsrec = oracles.tsrec_check(op, dec, 0.5, 0.01, 1000, 5)
     want_wnu = oracles.wnu_check(op, dec, 1.0, 0.3, 500, 6, analysis.WNU_SLACK)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("numpy.random.default_rng called")
+    seeds = []
+    default_rng = np.random.default_rng
 
-    monkeypatch.setattr(np.random, "default_rng", refuse)
+    def counting(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
     tsrec = analysis.tsrec_check(op, dec, eps=0.5, delta=0.01, pairs=1000,
                                  seed=5)
+    assert seeds == [derive_seed(5, "tsrec-a"), derive_seed(5, "tsrec-b")]
+    seeds.clear()
     wnu = analysis.wnu_check(op, dec, nu=1.0, eps=0.3, pairs=500, seed=6)
+    assert seeds == [derive_seed(6, tag)
+                     for tag in ("wnu-a", "wnu-b", "wnu-c", "wnu-d")]
     assert tsrec.passed and wnu.passed
     assert_matches(tsrec, want_tsrec)
     assert_matches(wnu, want_wnu)

@@ -81,6 +81,18 @@ class TestSolve:
         assert len(lines) == 10  # header + T+1 iterates
         assert (out / "instance.json").exists()
 
+    def test_threads_is_a_usage_error(self, tmp_path, capsys):
+        # solve runs one instance in one process; only rate takes --threads
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--config", str(cfg_path), "--out", str(out),
+                      "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sign_link_with_nlasso_is_inapplicable(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path,
@@ -210,16 +222,16 @@ CHECK_GOLDEN = [
         "[PASS] adjoint: 0/100 violations, worst margin 7.264e-15",
     ]),
     (["tsrec"], 0, [
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.173e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.503e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.096e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.228e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.029e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.199e-01",
         "[PASS] tsrec: 0/1000 violations, worst margin 1.204e-01",
-        "[PASS] tsrec: 0/1000 violations, worst margin 1.702e-01",
-        "[PASS] tsrec: 0/1000 violations, worst margin 1.110e-01",
-        "[PASS] tsrec: 0/1000 violations, worst margin 1.186e-01",
-        "[PASS] tsrec: 0/1000 violations, worst margin 9.975e-02",
-        "[PASS] tsrec: 0/1000 violations, worst margin 1.377e-01",
-        "[PASS] tsrec: 0/1000 violations, worst margin 1.413e-01",
-        "[PASS] tsrec: 0/1000 violations, worst margin 1.202e-01",
-        "[PASS] tsrec: 0/1000 violations, worst margin 1.343e-01",
-        "[PASS] tsrec: 0/1000 violations, worst margin 1.043e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.277e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.430e-01",
+        "[PASS] tsrec: 0/1000 violations, worst margin 1.090e-01",
     ]),
     (["jle"], 0, [
         "[PASS] jle: 0/100 violations, worst margin 4.558e-01",
@@ -234,16 +246,16 @@ CHECK_GOLDEN = [
         "[PASS] jle: 0/100 violations, worst margin 3.068e-01",
     ]),
     (["wnu"], 0, [
-        "[PASS] wnu: 0/500 violations, worst margin 1.761e+00",
-        "[PASS] wnu: 0/500 violations, worst margin 4.693e-01",
-        "[PASS] wnu: 0/500 violations, worst margin 1.886e+00",
-        "[PASS] wnu: 0/500 violations, worst margin 1.616e+00",
-        "[PASS] wnu: 0/500 violations, worst margin 2.440e+00",
-        "[PASS] wnu: 0/500 violations, worst margin 1.700e+00",
-        "[PASS] wnu: 0/500 violations, worst margin 1.759e+00",
-        "[PASS] wnu: 0/500 violations, worst margin 2.519e+00",
-        "[PASS] wnu: 0/500 violations, worst margin 1.689e+00",
-        "[PASS] wnu: 0/500 violations, worst margin 1.435e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 1.806e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 1.359e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 1.510e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 1.238e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 1.550e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 1.388e+00",
+        "[PASS] wnu: 0/500 violations, worst margin 6.961e-01",
+        "[PASS] wnu: 0/500 violations, worst margin 9.173e-01",
+        "[PASS] wnu: 0/500 violations, worst margin 8.103e-01",
+        "[PASS] wnu: 0/500 violations, worst margin 2.302e+00",
         "[PASS] polarization: 0/100 violations, worst margin 5.640e-14",
     ]),
     (["mvt"], 0, [
@@ -254,28 +266,28 @@ CHECK_GOLDEN = [
         "[PASS] gradients: 0/50 violations, worst margin 2.989e-06",
     ]),
     (["tsrec", "--n", "1"], 1, [
-        "[FAIL] tsrec: 550/1000 violations, worst margin 1.489e+00",
-        "[FAIL] tsrec: 529/1000 violations, worst margin 1.439e+00",
-        "[FAIL] tsrec: 532/1000 violations, worst margin 2.382e+00",
-        "[FAIL] tsrec: 497/1000 violations, worst margin 1.722e+00",
-        "[FAIL] tsrec: 826/1000 violations, worst margin 9.996e-01",
-        "[FAIL] tsrec: 659/1000 violations, worst margin 9.991e-01",
-        "[FAIL] tsrec: 503/1000 violations, worst margin 2.051e+00",
-        "[FAIL] tsrec: 474/1000 violations, worst margin 1.262e+00",
-        "[FAIL] tsrec: 450/1000 violations, worst margin 1.056e+00",
-        "[FAIL] tsrec: 561/1000 violations, worst margin 9.988e-01",
+        "[FAIL] tsrec: 568/1000 violations, worst margin 1.632e+00",
+        "[FAIL] tsrec: 514/1000 violations, worst margin 1.398e+00",
+        "[FAIL] tsrec: 555/1000 violations, worst margin 2.461e+00",
+        "[FAIL] tsrec: 462/1000 violations, worst margin 1.831e+00",
+        "[FAIL] tsrec: 808/1000 violations, worst margin 1.000e+00",
+        "[FAIL] tsrec: 647/1000 violations, worst margin 1.000e+00",
+        "[FAIL] tsrec: 517/1000 violations, worst margin 2.026e+00",
+        "[FAIL] tsrec: 422/1000 violations, worst margin 1.523e+00",
+        "[FAIL] tsrec: 437/1000 violations, worst margin 9.998e-01",
+        "[FAIL] tsrec: 553/1000 violations, worst margin 9.998e-01",
     ]),
     (["wnu", "--n", "1"], 1, [
-        "[FAIL] wnu: 446/500 violations, worst margin -8.093e+02",
-        "[FAIL] wnu: 403/500 violations, worst margin -3.312e+02",
-        "[FAIL] wnu: 356/500 violations, worst margin -1.834e+02",
-        "[FAIL] wnu: 331/500 violations, worst margin -1.339e+02",
-        "[FAIL] wnu: 354/500 violations, worst margin -1.391e+02",
-        "[FAIL] wnu: 393/500 violations, worst margin -4.000e+02",
-        "[FAIL] wnu: 386/500 violations, worst margin -3.231e+02",
-        "[FAIL] wnu: 258/500 violations, worst margin -6.720e+01",
-        "[FAIL] wnu: 378/500 violations, worst margin -3.438e+02",
-        "[FAIL] wnu: 270/500 violations, worst margin -7.187e+01",
+        "[FAIL] wnu: 432/500 violations, worst margin -8.021e+02",
+        "[FAIL] wnu: 413/500 violations, worst margin -4.935e+02",
+        "[FAIL] wnu: 368/500 violations, worst margin -1.815e+02",
+        "[FAIL] wnu: 330/500 violations, worst margin -1.046e+02",
+        "[FAIL] wnu: 360/500 violations, worst margin -1.749e+02",
+        "[FAIL] wnu: 395/500 violations, worst margin -3.297e+02",
+        "[FAIL] wnu: 371/500 violations, worst margin -3.306e+02",
+        "[FAIL] wnu: 253/500 violations, worst margin -5.913e+01",
+        "[FAIL] wnu: 374/500 violations, worst margin -2.757e+02",
+        "[FAIL] wnu: 277/500 violations, worst margin -7.155e+01",
         "[PASS] polarization: 0/100 violations, worst margin 9.968e-15",
     ]),
 ]
