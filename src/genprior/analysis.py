@@ -264,13 +264,14 @@ def gradient_check(op, link, decoder, points, seed, tol=1e-5, vjp_tol=1e-4,
     for _ in range(points):
         x = rng.standard_normal(op.p)
         dev = max(
-            _fd_gradient_dev(lambda v: solvers.loss_glasso(op, y, v),
-                             solvers.grad_glasso(op, y, x), x, fd_step),
-            _fd_gradient_dev(lambda v: solvers.loss_nlasso(op, y, link, v),
-                             solvers.grad_nlasso(op, y, link, x), x, fd_step))
+            _fd_dev(lambda u: solvers.loss_glasso(op, y, u),
+                    solvers.grad_glasso(op, y, x), x, fd_step),
+            _fd_dev(lambda u: solvers.loss_nlasso(op, y, link, u),
+                    solvers.grad_nlasso(op, y, link, x), x, fd_step))
         z = genmodel.sample_latent(decoder, rng.integers(2 ** 63))
         v = rng.standard_normal(decoder.ambient_dim)
-        vdev = _fd_vjp_dev(decoder, z, v, vjp_step)
+        vdev = _fd_dev(lambda u: genmodel.forward(decoder, u) @ v,
+                       genmodel.vjp(decoder, z, v), z, vjp_step)
         worst = max(worst, dev, vdev)
         if dev > tol or vdev > vjp_tol:
             violations += 1
@@ -279,30 +280,19 @@ def gradient_check(op, link, decoder, points, seed, tol=1e-5, vjp_tol=1e-4,
                            "p": op.p, "seed": seed, "allowed_violations": 0})
 
 
-def _fd_gradient_dev(loss, grad, x, h):
-    # worst per-coordinate relative deviation; tiny coordinates are floored
-    # so finite-difference roundoff cannot dominate the ratio
+def _fd_dev(f, grad, x, h):
+    """Worst per-coordinate relative deviation of the central differences of
+    the scalar function f at x from its analytic gradient grad; tiny
+    coordinates are floored so finite-difference roundoff cannot dominate
+    the ratio."""
     fd = np.empty_like(x)
     e = np.zeros_like(x)
     for j in range(len(x)):
         e[j] = h
-        fd[j] = (loss(x + e) - loss(x - e)) / (2 * h)
+        fd[j] = (f(x + e) - f(x - e)) / (2 * h)
         e[j] = 0.0
     denom = np.maximum(np.abs(grad), 1e-8)
     return float(np.max(np.abs(fd - grad) / denom))
-
-
-def _fd_vjp_dev(decoder, z, v, h):
-    analytic = genmodel.vjp(decoder, z, v)
-    fd = np.empty_like(z)
-    e = np.zeros_like(z)
-    for j in range(len(z)):
-        e[j] = h
-        fd[j] = float((genmodel.forward(decoder, z + e)
-                       - genmodel.forward(decoder, z - e)) @ v) / (2 * h)
-        e[j] = 0.0
-    denom = np.maximum(np.abs(analytic), 1e-8)
-    return float(np.max(np.abs(fd - analytic) / denom))
 
 
 def contraction_fit(traj, floor):

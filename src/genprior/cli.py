@@ -82,8 +82,7 @@ SCHEMA = {
     "solver.projection": {
         "steps": _Key(INT), "restarts": _Key(INT),
         "init": _Key(STR, False, projection.INITS),
-        "ball_handling": _Key(STR, False, projection.BALL_HANDLING),
-        "method": _Key(STR, False, projection.METHODS)},
+        "ball_handling": _Key(STR, False, projection.BALL_HANDLING)},
     "experiment": {"observation": _Key(STR, False, ("sim", "known", "auto")),
                    "delta": _Key(NUM), "grid": _Key(INTS),
                    "trials": _Key(INT)},

@@ -144,23 +144,16 @@ def forward(decoder, z):
 
 
 def vjp(decoder, z, v):
-    """Gradient of <G(z), v> with respect to z (reverse accumulation). The
-    activation derivative is read off the forward pass's activations:
-    1 - tanh^2, or relu > 0, so ReLU uses derivative 0 at 0.
-    """
+    """Gradient of <G(z), v> with respect to z: v^T J, with the Jacobian
+    J = dG/dz of ``_jacobian_cached``."""
     z = np.asarray(z, dtype=float)
-    g = np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)
     if z.shape != (decoder.latent_dim,):
         raise ValueError(f"latent vector must have length {decoder.latent_dim}")
-    if g.shape != (decoder.ambient_dim,):
+    if v.shape != (decoder.ambient_dim,):
         raise ValueError(f"ambient vector must have length {decoder.ambient_dim}")
-    hidden = _forward_cached(decoder, z)[1]
-    for i in range(len(decoder.layers) - 1, -1, -1):
-        g = g @ decoder.layers[i][0]
-        if i > 0 and decoder.activation != "identity":
-            h = hidden[i - 1]
-            g = g * (1.0 - h * h if decoder.activation == "tanh" else h > 0)
-    return g
+    hidden = _forward_cached(decoder, z[None])[1]
+    return v @ _jacobian_cached(decoder, z[None], hidden)[0]
 
 
 def _forward_cached(decoder, z):
@@ -178,7 +171,8 @@ def _forward_cached(decoder, z):
 
 def _jacobian_cached(decoder, z, hidden):
     """dG/dz at the rows of z, (B, k), as a (B, p, k) stack, by forward
-    accumulation; activations and derivatives as in ``vjp``."""
+    accumulation. The activation derivative is read off the forward pass's
+    activations: 1 - tanh^2, or relu > 0, so ReLU uses derivative 0 at 0."""
     (w, _), *rest = decoder.layers
     jt = np.broadcast_to(w.T, (len(z),) + w.T.shape)  # rows of J^T, (B, k, d)
     for h, (w, _) in zip(hidden, rest):

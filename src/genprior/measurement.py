@@ -31,7 +31,7 @@ __all__ = [
     "mu_of_link",
 ]
 
-QUAD_NODES = 200          # Gauss-Hermite nodes for deterministic links
+QUAD_NODES = 200          # Gauss-Hermite nodes for custom links
 
 
 @dataclass(frozen=True)
@@ -186,10 +186,16 @@ def corrupt(y, tau, seed):
 def mu_of_link(link):
     """Link gain mu = E[f(g) g] for g ~ N(0, 1).
 
-    Deterministic kinds integrate by Gauss-Hermite quadrature. The dithered
-    sign link has the closed form sqrt(2/pi) / sqrt(1 + sigma_d^2) (Plan and
-    Vershynin, The Generalized Lasso With Non-Linear Observations, 2016).
+    The linear link has mu = E[g^2] = 1, and the shifted cosine
+    mu = E[(2g + 0.5 cos g) g] = 2, as g cos g is odd. The dithered sign link
+    has the closed form sqrt(2/pi) / sqrt(1 + sigma_d^2) (Plan and Vershynin,
+    The Generalized Lasso With Non-Linear Observations, 2016). Custom links
+    integrate by Gauss-Hermite quadrature.
     """
+    if link.kind == "linear":
+        return 1.0
+    if link.kind == "shifted_cosine":
+        return 2.0
     if link.kind == "sign_dithered":
         return float(np.sqrt(2.0 / np.pi) / np.sqrt(1.0 + link.sigma_d ** 2))
     nodes, weights = np.polynomial.hermite_e.hermegauss(QUAD_NODES)

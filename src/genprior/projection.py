@@ -1,9 +1,9 @@
 """Approximate projection onto the decoder range by latent-space descent.
 
 The projection minimizes 0.5 ||G(z) - x||^2 over the latent ball by damped
-Gauss-Newton, with restarts, returning the best feasible point seen. A
-closed-form path for single-layer decoders with orthonormal columns serves
-as the exact-projection oracle.
+Gauss-Newton, with restarts, returning the best feasible point seen. On a
+single-layer decoder with orthonormal columns its first step is the exact
+projection.
 """
 
 from __future__ import annotations
@@ -13,21 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import genmodel
-from .errors import UnsupportedOperationError
 from .seeding import derive_seed
 
 __all__ = [
     "ProjectionConfig",
     "ProjectionResult",
     "project",
-    "project_exact_linear",
     "projection_to_json",
     "projection_from_json",
 ]
 
 BALL_HANDLING = ("project_each_step", "project_at_end")
 INITS = ("zero", "gaussian")
-METHODS = ("descent", "exact_linear")
 # Gauss-Newton stops a row once a step moves its value by at most this share
 GN_STALL = 1e-6
 
@@ -39,7 +36,6 @@ class ProjectionConfig:
     restarts: int = 1
     init: str = "gaussian"
     ball_handling: str = "project_each_step"
-    method: str = "descent"  # "exact_linear" routes to the analytic oracle
 
     def __post_init__(self):
         if self.steps < 1 or self.restarts < 1:
@@ -48,8 +44,6 @@ class ProjectionConfig:
             raise ValueError(f"unknown ball handling {self.ball_handling!r}")
         if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +72,6 @@ def _project_rows(decoder, x, cfg, seeds, warm_starts):
     """``project`` of every row of x, (T, p), each with its own seed and
     warm start. The T * cfg.restarts descents advance as one batch, and
     each target keeps the best of its own restarts."""
-    if cfg.method == "exact_linear":
-        return [project_exact_linear(decoder, xt) for xt in x]
     targets = x[_owners(len(x), cfg.restarts)]
 
     def objective(fz, rows):
@@ -98,29 +90,12 @@ def _project_rows(decoder, x, cfg, seeds, warm_starts):
     return out
 
 
-def project_exact_linear(decoder, x):
-    """Exact projection for a single-layer orthonormal-column decoder.
-
-    The minimizer is W^T x, radially clipped into the latent ball.
-    """
-    w = _orthonormal_weight(decoder)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (decoder.ambient_dim,):
-        raise ValueError(f"expected ambient vector of length {decoder.ambient_dim}")
-    z = w.T @ x
-    z = _clip_rows(z, np.linalg.norm(z), decoder.latent_radius)
-    x_hat = genmodel.forward(decoder, z)
-    return ProjectionResult(z, x_hat, float(np.linalg.norm(x_hat - x)), 0, 0)
-
-
 def projection_to_json(cfg):
     doc = {
         "steps": cfg.steps,
         "restarts": cfg.restarts,
         "ball_handling": cfg.ball_handling,
     }
-    if cfg.method != "descent":
-        doc["method"] = cfg.method
     if cfg.init != "gaussian":
         doc["init"] = cfg.init
     return doc
@@ -149,48 +124,31 @@ def _start_latents(decoder, cfg, seed, label, warm_start):
 
 
 def _descend(decoder, cfg, z, objective, metric=None, record=None):
-    """Damped Gauss-Newton descent of every row of z, (B, k), as one batch.
+    """Damped Gauss-Newton (Levenberg-Marquardt) descent of every row of z,
+    (B, k), as one batch.
 
     ``objective(fz, rows)`` maps the decoder outputs of batch rows ``rows``
     to their values and output-space gradients; ``metric(jac, rows)`` is the
-    output Hessian pulled back through the Jacobians, J^T J (that of
-    0.5 ||G(z) - x||^2) by default. ``record(rows, fz, values)`` sees every
-    iterate: the start and each accepted step, then, under project_at_end,
-    the returned point of each row where that is not its last iterate.
+    output Hessian pulled back through the Jacobians, M = J^T J (that of
+    0.5 ||G(z) - x||^2) by default. Each step solves
+    (M + lam (tr M / k) I) d = J^T g, lam per row from 0: a step that does
+    not lower the row's value is rejected and raises lam tenfold, to at least
+    1e-3; an accepted one lowers it tenfold. A row stops for good once a step
+    moves its value by at most GN_STALL of it, or its latent by at most 1e-8
+    of its norm (an exact fit, where the value is round-off); a non-finite
+    row never starts. ``record(rows, fz, values)`` sees every iterate: the
+    start and each accepted step, then, under project_at_end, the returned
+    point of each row where that is not its last iterate.
     Returns per row the first best feasible latent seen, its value, and the
     number of steps whose raw update left the ball.
     """
+    r, k = decoder.latent_radius, decoder.latent_dim
     every = np.arange(len(z))
     note = record or (lambda rows, fz, val: None)
-    fz, hidden = genmodel._forward_cached(decoder, z)
-    val, g = objective(fz, every)
-    note(every, fz, val)
-    end, end_val, oob = _gauss_newton(decoder, cfg, z, val, hidden, g,
-                                      objective, metric, note)
-    if cfg.ball_handling == "project_each_step":
-        return end, end_val, oob  # its values never rise: the best seen
-    clipped = _clip_rows(end, np.sqrt(np.add.reduce(end * end, 1)),
-                         decoder.latent_radius)
-    end_fz = genmodel._forward_cached(decoder, clipped)[0]
-    end_val, _ = objective(end_fz, every)
-    last = _first_min(np.array([val, end_val]), axis=0) == 1
-    best, val = np.where(last[:, None], clipped, z), np.where(last, end_val, val)
-    moved = np.flatnonzero(np.any(best != end, axis=1))  # not the last iterate
-    note(moved, np.where(last[:, None], end_fz, fz)[moved], val[moved])
-    return best, val, oob
-
-
-def _gauss_newton(decoder, cfg, z, val, hidden, g, objective, metric, note):
-    """Levenberg-Marquardt descent of the rows of z (see ``_descend``). Each
-    step solves (M + lam (tr M / k) I) d = J^T g, lam per row from 0: a step
-    that does not lower the row's value is rejected and raises lam tenfold,
-    to at least 1e-3; an accepted one lowers it tenfold. A row stops for good
-    once a step moves its value by at most GN_STALL of it, or its latent by
-    at most 1e-8 of its norm (an exact fit, where the value is round-off);
-    a non-finite row never starts. Returns the latents, values and
-    out-of-ball step counts."""
-    r, k = decoder.latent_radius, decoder.latent_dim
-    z, val = z.copy(), val.copy()
+    fz0, hidden = genmodel._forward_cached(decoder, z)
+    val0, g = objective(fz0, every)
+    note(every, fz0, val0)
+    end, val = z.copy(), val0.copy()
     lam, oob = np.zeros(len(z)), np.zeros(len(z), dtype=int)
     w, b, vec = np.zeros(z.shape), np.zeros(z.shape), np.zeros(z.shape + (k,))
 
@@ -201,7 +159,7 @@ def _gauss_newton(decoder, cfg, z, val, hidden, g, objective, metric, note):
         b[at] = ((g[sel][:, None, :] @ jac) @ vec[at])[:, 0]
 
     rows = np.flatnonzero(np.isfinite(val))
-    refresh(rows, rows, z, hidden, g)
+    refresh(rows, rows, end, hidden, g)
     for _ in range(cfg.steps):
         if not len(rows):
             break
@@ -209,7 +167,7 @@ def _gauss_newton(decoder, cfg, z, val, hidden, g, objective, metric, note):
         den = wr + (lam[rows] * wr.sum(1) / k)[:, None]
         ok = den > 1e-12 * wr.max(1, keepdims=True)
         coef = np.where(ok, b[rows] / np.where(ok, den, 1.0), 0.0)
-        zr, step = z[rows], (vec[rows] @ coef[:, :, None])[:, :, 0]
+        zr, step = end[rows], (vec[rows] @ coef[:, :, None])[:, :, 0]
         trial = zr - step
         nrm = np.sqrt(np.add.reduce(trial * trial, 1))
         oob[rows] += nrm > r
@@ -222,12 +180,22 @@ def _gauss_newton(decoder, cfg, z, val, hidden, g, objective, metric, note):
                 | (np.vecdot(step, step) <= 1e-16 * np.vecdot(zr, zr)))
         lam[rows] = np.where(acc, lam[rows] / 10,
                              np.maximum(lam[rows] * 10, 1e-3))
-        z[rows[acc]], val[rows[acc]] = trial[acc], new[acc]
+        end[rows[acc]], val[rows[acc]] = trial[acc], new[acc]
         note(rows[acc], fz[acc], new[acc])
         if (acc & ~stop).any():
             refresh(rows[acc & ~stop], acc & ~stop, trial, hid, g)
         rows = rows[~stop]
-    return z, val, oob
+    if cfg.ball_handling == "project_each_step":
+        return end, val, oob  # its values never rise: the best seen
+    clipped = _clip_rows(end, np.sqrt(np.add.reduce(end * end, 1)), r)
+    end_fz = genmodel._forward_cached(decoder, clipped)[0]
+    end_val, _ = objective(end_fz, every)
+    last = _first_min(np.array([val0, end_val]), axis=0) == 1
+    best = np.where(last[:, None], clipped, z)
+    val = np.where(last, end_val, val0)
+    moved = np.flatnonzero(np.any(best != end, axis=1))  # not the last iterate
+    note(moved, np.where(last[:, None], end_fz, fz0)[moved], val[moved])
+    return best, val, oob
 
 
 def _owners(targets, restarts):
@@ -251,16 +219,3 @@ def _first_min(values, axis=None):
     """Index of the first lowest value along axis. A non-finite value ranks
     last, so it is chosen only when no value is finite."""
     return np.argmin(np.where(np.isfinite(values), values, np.inf), axis=axis)
-
-
-def _orthonormal_weight(decoder):
-    if (len(decoder.layers) != 1 or decoder.activation != "identity"
-            or np.any(decoder.layers[0][1] != 0.0)):
-        raise UnsupportedOperationError(
-            "exact projection needs a single linear layer with zero bias")
-    w = decoder.layers[0][0]
-    gram = w.T @ w
-    if not np.allclose(gram, np.eye(w.shape[1]), atol=1e-10):
-        raise UnsupportedOperationError(
-            "exact projection needs orthonormal columns")
-    return w

@@ -71,7 +71,13 @@ class SolverConfig:
 class Trajectory:
     loss_values: list = field(default_factory=list)
     error_to_target: list = field(default_factory=list)
-    contraction_ratios: list = field(default_factory=list)
+
+    @property
+    def contraction_ratios(self):
+        """error_t / error_{t-1} for t >= 1; nan after a zero error."""
+        errs = self.error_to_target
+        return [b / a if a > 0 else float("nan")
+                for a, b in zip(errs[:-1], errs[1:])]
 
 
 def loss_glasso(op, y_tilde, x):
@@ -134,9 +140,9 @@ def csgm_baseline(op, y_tilde, decoder, cfg, target=None, warm_start=None):
 
 
 def mu1_of(nu, eps):
-    """Contraction factor max{1 - nu (1-eps), nu (1+eps) - 1}."""
-    _check_eps(eps)
-    return max(1.0 - nu * (1.0 - eps), nu * (1.0 + eps) - 1.0)
+    """Contraction factor max{1 - nu (1-eps), nu (1+eps) - 1}: mu2 at
+    l = u = 1."""
+    return mu2_of(nu, 1.0, 1.0, eps)
 
 
 def mu2_of(zeta, l, u, eps):
@@ -151,11 +157,10 @@ def trajectory_to_csv(traj, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "loss", "error", "ratio"])
+        ratios = traj.contraction_ratios
         for t, loss in enumerate(traj.loss_values):
             err = traj.error_to_target[t] if traj.error_to_target else ""
-            ratio = ""
-            if traj.contraction_ratios and 1 <= t <= len(traj.contraction_ratios):
-                ratio = traj.contraction_ratios[t - 1]
+            ratio = ratios[t - 1] if 1 <= t <= len(ratios) else ""
             w.writerow([t, _fmt(loss), _fmt(err), _fmt(ratio)])
 
 
@@ -238,8 +243,6 @@ def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
             [derive_seed(s, "project", t) for s in seeds], z_warm)
         x = np.array([r.x_hat for r in pres])
         z_warm = [r.z_hat for r in pres]
-    for traj in trajs:
-        _fill_ratios(traj)
     return list(zip(x, trajs))
 
 
@@ -270,11 +273,8 @@ def _csgm_group(ops, ys, decoder, cfg, seeds, targets, warm_starts):
 
     z, loss, _ = projection._descend(decoder, pcfg, z0, objective, metric,
                                      record)
-    out = []
-    for i in projection._best_rows(loss, pcfg.restarts):
-        _fill_ratios(trajs[i])
-        out.append((genmodel.forward(decoder, z[i]), trajs[i]))
-    return out
+    return [(genmodel.forward(decoder, z[i]), trajs[i])
+            for i in projection._best_rows(loss, pcfg.restarts)]
 
 
 def _initial_point(decoder, cfg, seed):
@@ -295,8 +295,3 @@ def _record(traj, x, loss, target):
     if target is not None:
         traj.error_to_target.append(float(np.linalg.norm(x - target)))
 
-
-def _fill_ratios(traj):
-    errs = traj.error_to_target
-    for a, b in zip(errs[:-1], errs[1:]):
-        traj.contraction_ratios.append(b / a if a > 0 else float("nan"))

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from genprior import genmodel, measurement, sensing, solvers
+from genprior import genmodel, measurement, projection, sensing, solvers
+from genprior.errors import UnsupportedOperationError
 from genprior.seeding import derive_seed
 
 MU_MC_SEED = derive_seed(0, "mu-of-link-mc")
@@ -103,3 +104,32 @@ def wnu_check(op, decoder, nu, eps, pairs, seed, slack):
         if margin < 0:
             violations += 1
     return violations, float(worst)
+
+
+def project_exact_linear(decoder, x):
+    """Exact projection for a single-layer orthonormal-column decoder: the
+    minimizer W^T x, radially clipped into the latent ball; the oracle for
+    ``projection.project`` on such decoders."""
+    w = _orthonormal_weight(decoder)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (decoder.ambient_dim,):
+        raise ValueError(f"expected ambient vector of length {decoder.ambient_dim}")
+    z = w.T @ x
+    r = decoder.latent_radius
+    z = z * (r / max(np.linalg.norm(z), r))
+    x_hat = genmodel.forward(decoder, z)
+    return projection.ProjectionResult(z, x_hat,
+                                       float(np.linalg.norm(x_hat - x)), 0, 0)
+
+
+def _orthonormal_weight(decoder):
+    if (len(decoder.layers) != 1 or decoder.activation != "identity"
+            or np.any(decoder.layers[0][1] != 0.0)):
+        raise UnsupportedOperationError(
+            "exact projection needs a single linear layer with zero bias")
+    w = decoder.layers[0][0]
+    gram = w.T @ w
+    if not np.allclose(gram, np.eye(w.shape[1]), atol=1e-10):
+        raise UnsupportedOperationError(
+            "exact projection needs orthonormal columns")
+    return w

@@ -102,7 +102,8 @@ def test_criterion_2_gradient_correctness():
             assert abs(fd - g[j]) <= 1e-4 * max(abs(g[j]), 1e-8)
 
 
-@criterion(3, "exact-projection geometric convergence at k=8, p=256, n=120")
+@criterion(3, "geometric convergence with the default projection, exact on "
+              "orthonormal decoders, at k=8, p=256, n=120")
 def test_criterion_3_exact_projection_convergence():
     # per seed: all 10 arbitrary initializations must fall below 1e-8 within
     # 50 iterations (required in >= 18/20 seeds); the fitted log-slope is
@@ -122,7 +123,7 @@ def test_criterion_3_exact_projection_convergence():
             rng = np.random.default_rng(derive_seed(3, "init", 100 * seed + i))
             x0 = rng.standard_normal(256) * rng.uniform(0.5, 4.0)
             cfg = SolverConfig(step_size=1.0, iterations=50,
-                               projection=ProjectionConfig(method="exact_linear"),
+                               projection=ProjectionConfig(),
                                x0_mode="given", x0=x0, seed=i)
             _, traj = solvers.pgd_glasso(op, obs.y_tilde, dec, cfg,
                                          target=x_star)

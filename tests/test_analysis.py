@@ -211,7 +211,7 @@ def tiny_noiseless_setup(seed=5):
     dec = genmodel.orthonormal_linear_decoder(seed, 3, 32, 3.0)
     link = measurement.linear_link()
     cfg = SolverConfig(step_size=1.0, iterations=40,
-                       projection=ProjectionConfig(method="exact_linear"),
+                       projection=ProjectionConfig(),
                        x0_mode="zero", seed=0)
     return analysis.TrialSetup(decoder=dec, link=link,
                                solver_kind="pgd_glasso", solver_cfg=cfg)

@@ -21,8 +21,7 @@ def write_config(path, **overrides):
                     "seed": 5},
         "sensing": {"kind": "dense_gaussian", "n": 40},
         "link": {"kind": "linear"},
-        "solver": {"kind": "pgd_glasso", "step_size": 1.0, "iterations": 8,
-                   "projection": {"method": "exact_linear"}},
+        "solver": {"kind": "pgd_glasso", "step_size": 1.0, "iterations": 8},
     }
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
@@ -513,6 +512,10 @@ class TestConfigErrors:
          "solver.projection.optimizer"),
         ({"solver": {"kind": "pgd_glasso", "projection": {"lr": 0.03}}},
          "solver.projection.lr"),
+        # the deleted closed-form projection option
+        ({"solver": {"kind": "pgd_glasso",
+                     "projection": {"method": "exact_linear"}}},
+         "solver.projection.method"),
     ])
     def test_unknown_key(self, tmp_path, capsys, overrides, name):
         code, err = self._rejected(tmp_path, capsys, **overrides)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from genprior import (analysis, genmodel, measurement, projection, sensing,
                       solvers)
 from genprior.projection import ProjectionConfig
@@ -54,9 +55,34 @@ def test_default_projection_is_exact_on_orthonormal_linear(init):
     for i in range(10):
         for x in _targets(dec, rng):
             got = projection.project(dec, x, cfg, seed=i)
-            exact = projection.project_exact_linear(dec, x)
+            exact = oracles.project_exact_linear(dec, x)
             assert np.max(np.abs(got.z_hat - exact.z_hat)) <= 1e-12
             assert abs(got.residual - exact.residual) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), k=st.integers(1, 8),
+       extra=st.integers(0, 72), r=st.floats(0.1, 5.0),
+       reach=st.one_of(st.floats(0.0, 0.99), st.floats(1.01, 100.0)),
+       noise=st.floats(0.0, 50.0), restarts=st.integers(1, 3))
+def test_default_projection_matches_the_closed_form(seed, k, extra, r, reach,
+                                                    noise, restarts):
+    # the invariant that leaves one projection: where J^T J = I the default
+    # descent lands on the exact projection, whether the target's latent
+    # W^T x lies inside the ball (reach < 1) or far outside it
+    dec = genmodel.orthonormal_linear_decoder(seed, k, k + extra, r)
+    w = dec.layers[0][0]
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(k)
+    off = rng.standard_normal(dec.ambient_dim)
+    off -= w @ (w.T @ off)
+    x = w @ (reach * r * z / np.linalg.norm(z)) + noise * off
+    got = projection.project(dec, x, ProjectionConfig(restarts=restarts), seed)
+    exact = oracles.project_exact_linear(dec, x)
+    assert np.max(np.abs(got.z_hat - exact.z_hat)) <= 1e-10
+    assert np.max(np.abs(got.x_hat - exact.x_hat)) <= 1e-10
+    assert abs(got.residual - exact.residual) <= 1e-10 * max(
+        1.0, exact.residual)
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,7 +134,7 @@ def test_converged_row_stops_after_one_step(monkeypatch):
     # and no rejected step follows it
     dec = genmodel.orthonormal_linear_decoder(3, 4, 24, 1.5)
     for x in _targets(dec, np.random.default_rng(8)):
-        exact = projection.project_exact_linear(dec, x)
+        exact = oracles.project_exact_linear(dec, x)
         calls = []
         real = genmodel._forward_cached
         monkeypatch.setattr(genmodel, "_forward_cached",

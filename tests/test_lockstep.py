@@ -118,7 +118,7 @@ def test_split_at_the_acceptance_decoder():
 def exact_setup(sensing_kind, p=32):
     dec = genmodel.orthonormal_linear_decoder(5, 3, p, 3.0)
     cfg = SolverConfig(step_size=1.0, iterations=10, x0_mode="zero",
-                       projection=ProjectionConfig(method="exact_linear"))
+                       projection=ProjectionConfig())
     return analysis.TrialSetup(decoder=dec, link=measurement.linear_link(),
                                solver_kind="pgd_glasso", solver_cfg=cfg,
                                sensing_kind=sensing_kind)

@@ -84,6 +84,16 @@ class TestMu:
         got = measurement.mu_of_link(measurement.shifted_cosine_link())
         assert abs(got - 2.0) <= 1e-8
 
+    def test_closed_form_gains_are_exact(self):
+        # E[g^2] = 1 and, g cos g being odd, E[(2g + 0.5 cos g) g] = 2; the
+        # same link built as a custom one integrates to 2 by quadrature
+        assert measurement.linear_link().mu == 1.0
+        assert measurement.shifted_cosine_link().mu == 2.0
+        custom = measurement.custom_monotone_link(
+            lambda t: 2.0 * t + 0.5 * math.cos(t),
+            lambda t: 2.0 - 0.5 * math.sin(t), 1.5, 2.5)
+        assert abs(custom.mu - 2.0) <= 1e-12
+
     def test_sign_gain_matches_closed_form(self):
         link = measurement.sign_dithered_link(0.1)
         expected = sign_link_gain_closed_form(0.1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from genprior import genmodel, projection
 from genprior.errors import UnsupportedOperationError
 from genprior.projection import ProjectionConfig
@@ -65,7 +66,7 @@ class TestProject:
         for _ in range(20):
             x = self._interior_instance(dec, rng)
             it = projection.project(dec, x, cfg, seed=9)
-            ex = projection.project_exact_linear(dec, x)
+            ex = oracles.project_exact_linear(dec, x)
             assert it.residual - ex.residual <= 1e-6
 
     def test_matches_exact_linear_oracle_point(self):
@@ -77,7 +78,7 @@ class TestProject:
         for _ in range(5):
             x = rng.standard_normal(24)
             it = projection.project(dec, x, cfg, seed=9)
-            ex = projection.project_exact_linear(dec, x)
+            ex = oracles.project_exact_linear(dec, x)
             assert np.linalg.norm(it.x_hat - ex.x_hat) <= 1e-6
 
     def test_restarts_take_the_best(self):
@@ -143,7 +144,7 @@ class TestProjectExactLinear:
         dec = genmodel.orthonormal_linear_decoder(2, 3, 12, 2.0)
         z = np.array([0.5, -0.2, 0.4])
         x = genmodel.forward(dec, z)
-        res = projection.project_exact_linear(dec, x)
+        res = oracles.project_exact_linear(dec, x)
         assert np.linalg.norm(res.x_hat - x) <= 1e-12
 
     def test_orthogonal_input_maps_to_zero(self):
@@ -151,7 +152,7 @@ class TestProjectExactLinear:
         w = dec.layers[0][0]
         x = np.random.default_rng(0).standard_normal(10)
         x -= w @ (w.T @ x)
-        res = projection.project_exact_linear(dec, x)
+        res = oracles.project_exact_linear(dec, x)
         assert np.linalg.norm(res.x_hat) <= 1e-12
 
     def test_matches_grid_search(self):
@@ -159,18 +160,18 @@ class TestProjectExactLinear:
         rng = np.random.default_rng(6)
         for _ in range(3):
             x = rng.standard_normal(10)
-            res = projection.project_exact_linear(dec, x)
+            res = oracles.project_exact_linear(dec, x)
             assert abs(res.residual - grid_search_residual(dec, x)) <= 1e-3
 
     def test_rejects_nonlinear_decoder(self):
         dec = genmodel.decoder_new(1, 2, [4], 8, 1.0, "tanh", 1.0)
         with pytest.raises(UnsupportedOperationError):
-            projection.project_exact_linear(dec, np.zeros(8))
+            oracles.project_exact_linear(dec, np.zeros(8))
 
     def test_rejects_non_orthonormal_linear(self):
         dec = genmodel.decoder_new(1, 2, [], 8, 1.0, "identity", 1.0)
         with pytest.raises(UnsupportedOperationError):
-            projection.project_exact_linear(dec, np.zeros(8))
+            oracles.project_exact_linear(dec, np.zeros(8))
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,15 +187,14 @@ def test_descent_never_beats_exact_projection(seed, k, extra, scale, ball,
     x = scale * np.random.default_rng(seed).standard_normal(dec.ambient_dim)
     cfg = ProjectionConfig(steps=25, restarts=restarts, ball_handling=ball)
     got = projection.project(dec, x, cfg, seed=seed)
-    exact = projection.project_exact_linear(dec, x)
+    exact = oracles.project_exact_linear(dec, x)
     assert got.residual >= exact.residual - 1e-12
 
 
 class TestConfig:
     def test_json_round_trip(self):
         cfg = ProjectionConfig(steps=77, restarts=3,
-                               ball_handling="project_at_end",
-                               method="exact_linear", init="zero")
+                               ball_handling="project_at_end", init="zero")
         back = projection.projection_from_json(projection.projection_to_json(cfg))
         assert back == cfg
         assert projection.projection_from_json({}) == ProjectionConfig()
@@ -204,6 +204,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ProjectionConfig(steps=0)
-        for field in ("init", "ball_handling", "method"):
+        for field in ("init", "ball_handling"):
             with pytest.raises(ValueError, match="unknown"):
                 ProjectionConfig(**{field: "bogus"})

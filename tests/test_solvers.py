@@ -11,7 +11,7 @@ from genprior.solvers import SolverConfig
 
 def exact_proj_config(step_size, iterations, x0_mode="zero", seed=0, **kw):
     return SolverConfig(step_size=step_size, iterations=iterations,
-                        projection=ProjectionConfig(method="exact_linear"),
+                        projection=ProjectionConfig(),
                         x0_mode=x0_mode, seed=seed, **kw)
 
 
