@@ -77,12 +77,10 @@ SCHEMA = {
         "sign_dithered": {"sigma_d": _Key(NUM), "tau": _Key(NUM)}}),
     "solver": {"kind": _Key(STR, True, ("pgd_glasso", "pgd_nlasso", "csgm")),
                "step_size": _Key(NUM), "iterations": _Key(INT),
-               "x0_mode": _Key(STR, False, solvers.X0_MODES),
+               # "given" is library-only: the CLI cannot pass an x0
+               "x0_mode": _Key(STR, False, ("zero", "random_range_point")),
                "projection": _Key(OBJ)},
-    "solver.projection": {
-        "steps": _Key(INT), "restarts": _Key(INT),
-        "init": _Key(STR, False, projection.INITS),
-        "ball_handling": _Key(STR, False, projection.BALL_HANDLING)},
+    "solver.projection": {"steps": _Key(INT), "restarts": _Key(INT)},
     "experiment": {"observation": _Key(STR, False, ("sim", "known", "auto")),
                    "delta": _Key(NUM), "grid": _Key(INTS),
                    "trials": _Key(INT)},
@@ -457,11 +455,8 @@ def _write_json(path, doc):
 
 
 def _threads(args):
-    """Worker count from GENPRIOR_THREADS or --threads, in [1, cpu count]."""
-    env = os.environ.get("GENPRIOR_THREADS")
-    with _reported("GENPRIOR_THREADS"):
-        n = int(env) if env else args.threads
-    return min(max(1, n), os.cpu_count() or 1)
+    """Worker count from --threads, in [1, cpu count]."""
+    return min(max(1, args.threads), os.cpu_count() or 1)
 
 
 if __name__ == "__main__":

@@ -23,8 +23,6 @@ __all__ = [
     "projection_from_json",
 ]
 
-BALL_HANDLING = ("project_each_step", "project_at_end")
-INITS = ("zero", "gaussian")
 # Gauss-Newton stops a row once a step moves its value by at most this share
 GN_STALL = 1e-6
 
@@ -34,16 +32,10 @@ class ProjectionConfig:
     steps: int = 200
     learning_rate: float = 0.03  # unread; perfbench/workloads.py still passes it
     restarts: int = 1
-    init: str = "gaussian"
-    ball_handling: str = "project_each_step"
 
     def __post_init__(self):
         if self.steps < 1 or self.restarts < 1:
             raise ValueError("steps and restarts must be >= 1")
-        if self.ball_handling not in BALL_HANDLING:
-            raise ValueError(f"unknown ball handling {self.ball_handling!r}")
-        if self.init not in INITS:
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +50,8 @@ class ProjectionResult:
 def project(decoder, x, cfg, seed, warm_start=None):
     """Approximate P_K(x): best feasible point over cfg.restarts descents.
 
-    A warm start, when given, runs as restart 0; remaining restarts draw
-    their initial latent per cfg.init. Ties in residual go to the lowest
+    A warm start, when given, runs as restart 0; remaining restarts start
+    from seeded Gaussian latents. Ties in residual go to the lowest
     restart index; a non-finite residual never wins over a finite one.
     """
     x = np.asarray(x, dtype=float)
@@ -91,14 +83,7 @@ def _project_rows(decoder, x, cfg, seeds, warm_starts):
 
 
 def projection_to_json(cfg):
-    doc = {
-        "steps": cfg.steps,
-        "restarts": cfg.restarts,
-        "ball_handling": cfg.ball_handling,
-    }
-    if cfg.init != "gaussian":
-        doc["init"] = cfg.init
-    return doc
+    return {"steps": cfg.steps, "restarts": cfg.restarts}
 
 
 def projection_from_json(doc):
@@ -108,14 +93,13 @@ def projection_from_json(doc):
 
 
 def _start_latents(decoder, cfg, seed, label, warm_start):
-    """Initial latent of every restart, one per row. A warm start is
-    restart 0; restart i otherwise draws from derive_seed(seed, label, i)."""
+    """Initial latent of every restart, one per row, clipped to the ball. A
+    warm start is restart 0; restart i otherwise draws a standard Gaussian
+    from derive_seed(seed, label, i)."""
     rows = []
     for i in range(cfg.restarts):
         if i == 0 and warm_start is not None:
             z = np.asarray(warm_start, dtype=float)
-        elif cfg.init == "zero":
-            z = np.zeros(decoder.latent_dim)
         else:
             rng = np.random.default_rng(derive_seed(seed, label, i))
             z = rng.standard_normal(decoder.latent_dim)
@@ -125,30 +109,31 @@ def _start_latents(decoder, cfg, seed, label, warm_start):
 
 def _descend(decoder, cfg, z, objective, metric=None, record=None):
     """Damped Gauss-Newton (Levenberg-Marquardt) descent of every row of z,
-    (B, k), as one batch.
+    (B, k), as one batch, each step clipped to the latent ball.
 
     ``objective(fz, rows)`` maps the decoder outputs of batch rows ``rows``
     to their values and output-space gradients; ``metric(jac, rows)`` is the
     output Hessian pulled back through the Jacobians, M = J^T J (that of
     0.5 ||G(z) - x||^2) by default. Each step solves
-    (M + lam (tr M / k) I) d = J^T g, lam per row from 0: a step that does
-    not lower the row's value is rejected and raises lam tenfold, to at least
+    (M + lam (tr M / k) I) d = J^T g, lam per row from 0, and an update
+    that leaves the ball is scaled radially onto it. A step that does not
+    lower the row's value is rejected and raises lam tenfold, to at least
     1e-3; an accepted one lowers it tenfold. A row stops for good once a step
     moves its value by at most GN_STALL of it, or its latent by at most 1e-8
     of its norm (an exact fit, where the value is round-off); a non-finite
     row never starts. ``record(rows, fz, values)`` sees every iterate: the
-    start and each accepted step, then, under project_at_end, the returned
-    point of each row where that is not its last iterate.
-    Returns per row the first best feasible latent seen, its value, and the
-    number of steps whose raw update left the ball.
+    start and each accepted step.
+    Returns per row its last iterate (values never rise, so it is the best
+    seen), its value, and the number of steps whose raw update left the
+    ball.
     """
     r, k = decoder.latent_radius, decoder.latent_dim
     every = np.arange(len(z))
     note = record or (lambda rows, fz, val: None)
-    fz0, hidden = genmodel._forward_cached(decoder, z)
-    val0, g = objective(fz0, every)
-    note(every, fz0, val0)
-    end, val = z.copy(), val0.copy()
+    fz, hidden = genmodel._forward_cached(decoder, z)
+    val, g = objective(fz, every)
+    note(every, fz, val)
+    end = z.copy()
     lam, oob = np.zeros(len(z)), np.zeros(len(z), dtype=int)
     w, b, vec = np.zeros(z.shape), np.zeros(z.shape), np.zeros(z.shape + (k,))
 
@@ -159,7 +144,8 @@ def _descend(decoder, cfg, z, objective, metric=None, record=None):
         b[at] = ((g[sel][:, None, :] @ jac) @ vec[at])[:, 0]
 
     rows = np.flatnonzero(np.isfinite(val))
-    refresh(rows, rows, end, hidden, g)
+    if len(rows):
+        refresh(rows, rows, end, hidden, g)
     for _ in range(cfg.steps):
         if not len(rows):
             break
@@ -171,8 +157,7 @@ def _descend(decoder, cfg, z, objective, metric=None, record=None):
         trial = zr - step
         nrm = np.sqrt(np.add.reduce(trial * trial, 1))
         oob[rows] += nrm > r
-        if cfg.ball_handling == "project_each_step":
-            trial = _clip_rows(trial, nrm, r)
+        trial = _clip_rows(trial, nrm, r)
         fz, hid = genmodel._forward_cached(decoder, trial)
         new, g = objective(fz, rows)
         acc = new < val[rows]
@@ -185,17 +170,7 @@ def _descend(decoder, cfg, z, objective, metric=None, record=None):
         if (acc & ~stop).any():
             refresh(rows[acc & ~stop], acc & ~stop, trial, hid, g)
         rows = rows[~stop]
-    if cfg.ball_handling == "project_each_step":
-        return end, val, oob  # its values never rise: the best seen
-    clipped = _clip_rows(end, np.sqrt(np.add.reduce(end * end, 1)), r)
-    end_fz = genmodel._forward_cached(decoder, clipped)[0]
-    end_val, _ = objective(end_fz, every)
-    last = _first_min(np.array([val0, end_val]), axis=0) == 1
-    best = np.where(last[:, None], clipped, z)
-    val = np.where(last, end_val, val0)
-    moved = np.flatnonzero(np.any(best != end, axis=1))  # not the last iterate
-    note(moved, np.where(last[:, None], end_fz, fz0)[moved], val[moved])
-    return best, val, oob
+    return end, val, oob
 
 
 def _owners(targets, restarts):

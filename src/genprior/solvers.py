@@ -131,9 +131,9 @@ def csgm_baseline(op, y_tilde, decoder, cfg, target=None, warm_start=None):
     """Damped Gauss-Newton descent over the latent variable on the linear
     loss (no projection).
 
-    Step cap, restarts and ball handling are taken from cfg.projection; a
-    latent warm start, when given, runs as restart 0. Returns the decoded
-    best latent across restarts.
+    Step cap and restarts are taken from cfg.projection, and every step is
+    clipped to the latent ball; a latent warm start, when given, runs as
+    restart 0. Returns the decoded best latent across restarts.
     """
     return _solve_group("csgm", [op], [y_tilde], None, decoder, cfg,
                         [cfg.seed], [target], [warm_start])[0]

@@ -2,6 +2,7 @@ import argparse
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -55,6 +56,30 @@ def schema_keys():
             table = {key: None, **{k: None for t in tables.values() for k in t}}
         keys += [k if name == "config" else f"{name}.{k}" for k in table]
     return keys
+
+
+def schema_choices():
+    """The allowed values of every config key that has a list of them, by
+    section.key; a variant key's values are its variants."""
+    out = {}
+    for name, table in cli.SCHEMA.items():
+        at = "" if name == "config" else f"{name}."
+        if isinstance(table, tuple):
+            key, _, tables = table
+            out[at + key] = tuple(tables)
+            table = {k: spec for t in tables.values() for k, spec in t.items()}
+        out.update((at + k, spec.choices) for k, spec in table.items()
+                   if spec.choices)
+    return out
+
+
+def readme_schema_section():
+    """The README's config schema section, up to the next section."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md")) as fh:
+        readme = fh.read()
+    section = readme[readme.index("### Config schema"):]
+    return section[:section.index("\n## ")]
 
 
 def read_tree(root):
@@ -177,14 +202,12 @@ class TestRate:
                          str(tmp_path / "o"), "--quiet"])
         assert code == 2
 
-    def test_threads_env_override(self, tmp_path, monkeypatch):
+    def test_threads_flag_leaves_the_output_unchanged(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, experiment={"grid": [40], "trials": 10})
-        monkeypatch.setenv("GENPRIOR_THREADS", "2")
         a = tmp_path / "a"
         assert cli.main(["rate", "--config", str(cfg_path), "--out", str(a),
-                         "--quiet"]) == 0
-        monkeypatch.delenv("GENPRIOR_THREADS")
+                         "--quiet", "--threads", "2"]) == 0
         b = tmp_path / "b"
         assert cli.main(["rate", "--config", str(cfg_path), "--out", str(b),
                          "--quiet"]) == 0
@@ -203,13 +226,30 @@ class TestRate:
         assert str(out) in err and err.count("\n") == 1
         assert out.read_text() == "keep"
 
-    def test_threads_capped_at_cpu_count(self, monkeypatch):
+    def test_threads_capped_at_cpu_count(self):
         # _threads only computes the worker count; no pool is started
         cap = os.cpu_count() or 1
-        monkeypatch.delenv("GENPRIOR_THREADS", raising=False)
         assert cli._threads(argparse.Namespace(threads=10**6)) == cap
-        monkeypatch.setenv("GENPRIOR_THREADS", str(10**6))
-        assert cli._threads(argparse.Namespace(threads=1)) == cap
+
+    @pytest.mark.parametrize("command", ["solve", "rate"])
+    def test_diverging_steps_do_not_crash(self, tmp_path, capsys, command):
+        # a step size of 1e200 sends the first gradient step past the
+        # largest float, so no row of the projection batch is finite
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path,
+                     decoder={"family": "mlp", "k": 4, "layer_dims": [12],
+                              "p": 48, "r": 3.0},
+                     sensing={"kind": "dense_gaussian", "n": 32},
+                     solver={"kind": "pgd_nlasso", "step_size": 1e200,
+                             "iterations": 5},
+                     experiment={"grid": [32], "trials": 10})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main([command, "--config", str(cfg_path), "--out",
+                             str(tmp_path / "o"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        assert "reshape" not in err and err.count("\n") == (code != 0)
 
 
 # (argv after "check", exit code, stdout lines) of `genprior check`
@@ -516,6 +556,12 @@ class TestConfigErrors:
         ({"solver": {"kind": "pgd_glasso",
                      "projection": {"method": "exact_linear"}}},
          "solver.projection.method"),
+        # the deleted start and ball rules
+        ({"solver": {"kind": "pgd_glasso", "projection": {"init": "zero"}}},
+         "solver.projection.init"),
+        ({"solver": {"kind": "pgd_glasso",
+                     "projection": {"ball_handling": "project_at_end"}}},
+         "solver.projection.ball_handling"),
     ])
     def test_unknown_key(self, tmp_path, capsys, overrides, name):
         code, err = self._rejected(tmp_path, capsys, **overrides)
@@ -549,6 +595,9 @@ class TestConfigErrors:
          "decoder: r must be finite and positive"),
         ("rate", {"experiment.delta": -1}, "experiment: delta must be in"),
         ("rate", {"experiment.delta": 5000}, "experiment: delta must be in"),
+        # library-only: the CLI has no way to pass an x0
+        ("solve", {"solver.x0_mode": "given"},
+         'solver.x0_mode: "given" is not one of zero, random_range_point'),
     ])
     def test_bad_value(self, tmp_path, capsys, command, keys, prefix):
         cfg = write_config(tmp_path / "cfg.json",
@@ -621,17 +670,24 @@ class TestConfigErrors:
             assert not caught
 
     def test_readme_lists_every_schema_key(self):
-        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
-                                   "README.md")).read()
-        section = readme[readme.index("### Config schema"):]
-        section = section[:section.index("\n## ")]
+        section = readme_schema_section()
         missing = [k for k in schema_keys() if f"`{k}`" not in section]
         assert not missing
 
+    def test_readme_lists_every_schema_choice(self):
+        # a key's "allowed values" cell names exactly its choices, in
+        # backticks, before any "; note"
+        cells = {}
+        for line in readme_schema_section().splitlines():
+            if line.startswith("| `"):
+                row = [c.strip() for c in line.strip("|").split("|")]
+                cells[row[0].strip("`")] = row[3].split(";")[0]
+        for key, choices in schema_choices().items():
+            named = re.findall(r"`([^`]*)`", cells[key])
+            assert sorted(named) == sorted(choices), key
+
     def test_readme_config_example_loads(self):
-        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
-                                   "README.md")).read()
-        section = readme[readme.index("### Config schema"):]
+        section = readme_schema_section()
         start = section.index("```json\n") + len("```json\n")
         cfg = json.loads(section[start:section.index("```", start)])
         setup, n, master, out_dir = cli._build_setup(

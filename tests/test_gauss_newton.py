@@ -47,14 +47,15 @@ def _targets(dec, rng):
             w @ (3.0 * dec.latent_radius * z / np.linalg.norm(z)) + noise)
 
 
-@pytest.mark.parametrize("init", ["zero", "gaussian"])
-def test_default_projection_is_exact_on_orthonormal_linear(init):
+@pytest.mark.parametrize("start", ["zero", "gaussian"])
+def test_default_projection_is_exact_on_orthonormal_linear(start):
     dec = genmodel.orthonormal_linear_decoder(3, 4, 24, 1.5)
     rng = np.random.default_rng(5)
-    cfg = ProjectionConfig(init=init)
+    warm = np.zeros(dec.latent_dim) if start == "zero" else None
     for i in range(10):
         for x in _targets(dec, rng):
-            got = projection.project(dec, x, cfg, seed=i)
+            got = projection.project(dec, x, ProjectionConfig(), seed=i,
+                                     warm_start=warm)
             exact = oracles.project_exact_linear(dec, x)
             assert np.max(np.abs(got.z_hat - exact.z_hat)) <= 1e-12
             assert abs(got.residual - exact.residual) <= 1e-12
@@ -88,16 +89,14 @@ def test_default_projection_matches_the_closed_form(seed, k, extra, r, reach,
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), k=st.integers(1, 5),
        activation=st.sampled_from(genmodel.ACTIVATIONS),
-       ball=st.sampled_from(projection.BALL_HANDLING),
        restarts=st.integers(1, 3), scale=st.floats(0.1, 50.0),
        warm=st.booleans())
-def test_result_stays_in_ball(seed, k, activation, ball, restarts, scale,
-                              warm):
+def test_result_stays_in_ball(seed, k, activation, restarts, scale, warm):
     dec = genmodel.decoder_new(seed, k, [6], 9, 1.0, activation, 1.0)
     rng = np.random.default_rng(seed)
     x = scale * rng.standard_normal((2, dec.ambient_dim))
     warms = [scale * rng.standard_normal(k) if warm else None, None]
-    cfg = ProjectionConfig(restarts=restarts, ball_handling=ball)
+    cfg = ProjectionConfig(restarts=restarts)
     for res in projection._project_rows(dec, x, cfg, [seed, seed + 1], warms):
         assert np.linalg.norm(res.z_hat) <= dec.latent_radius + 1e-12
 
@@ -118,6 +117,30 @@ def test_nan_target_row_freezes_and_leaves_the_others_alone():
         assert got[t].restart_index == solo.restart_index
 
 
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_batch_with_no_finite_row_returns_its_starts(restarts):
+    # no row starts, so no Jacobian is taken of an empty batch
+    dec = genmodel.decoder_new(101, 8, [32], 256, 3.0)
+    cfg = ProjectionConfig(restarts=restarts)
+    res = projection.project(dec, np.full(256, np.nan), cfg, 0)
+    start = projection._start_latents(dec, cfg, 0, "restart", None)
+    assert np.array_equal(res.z_hat, start[0])
+    assert res.restart_index == 0 and res.out_of_ball_steps == 0
+    assert np.isnan(res.residual)
+
+
+def test_csgm_with_no_finite_row_returns_its_start():
+    dec = genmodel.decoder_new(31, 3, [12], 20, 1.5, "tanh", 1.0)
+    op = sensing.sensing_new("dense_gaussian", 12, dec.ambient_dim, 5)
+    cfg = SolverConfig(step_size=1.0, iterations=1,
+                       projection=ProjectionConfig(restarts=2))
+    z0 = np.full(dec.latent_dim, 0.5)
+    x_hat, traj = solvers.csgm_baseline(op, np.full(op.n, np.nan), dec, cfg,
+                                        warm_start=z0)
+    assert np.array_equal(x_hat, genmodel.forward(dec, z0))
+    assert len(traj.loss_values) == 1 and np.isnan(traj.loss_values[0])
+
+
 def test_singular_jacobian_takes_no_step():
     # relu at z = 0 has J = 0, so M = 0: the row is stationary, as it is
     # for gradient descent, and the solve divides by no zero
@@ -125,7 +148,8 @@ def test_singular_jacobian_takes_no_step():
     x = np.random.default_rng(0).standard_normal(12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = projection.project(dec, x, ProjectionConfig(init="zero"), 0)
+        res = projection.project(dec, x, ProjectionConfig(), 0,
+                                 warm_start=np.zeros(3))
     assert np.array_equal(res.z_hat, np.zeros(3))
 
 

@@ -160,12 +160,10 @@ def test_split_rate_table_does_not_depend_on_threads():
 @settings(max_examples=40, deadline=None)
 @given(targets=st.integers(1, 4), k=st.integers(1, 5),
        restarts=st.integers(1, 3),
-       ball=st.sampled_from(projection.BALL_HANDLING),
        scale=st.floats(0.1, 20.0), seed=st.integers(0, 2 ** 32))
-def test_batched_projection_stays_in_ball(targets, k, restarts, ball, scale,
-                                          seed):
+def test_batched_projection_stays_in_ball(targets, k, restarts, scale, seed):
     dec = genmodel.decoder_new(seed, k, [6], 9, 1.0, "tanh", 1.0)
-    cfg = ProjectionConfig(steps=8, restarts=restarts, ball_handling=ball)
+    cfg = ProjectionConfig(steps=8, restarts=restarts)
     rng = np.random.default_rng(seed)
     x = scale * rng.standard_normal((targets, dec.ambient_dim))
     warm = [scale * rng.standard_normal(k) if t % 2 else None

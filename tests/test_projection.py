@@ -96,20 +96,19 @@ class TestProject:
     def test_feasibility_invariant(self):
         dec = genmodel.decoder_new(2, 3, [8], 12, 1.0, "tanh", 1.0)
         rng = np.random.default_rng(8)
-        for ball in ("project_each_step", "project_at_end"):
-            cfg = ProjectionConfig(steps=50, ball_handling=ball)
-            x = rng.standard_normal(12) * 3
-            res = projection.project(dec, x, cfg, seed=2)
-            assert np.linalg.norm(res.z_hat) <= dec.latent_radius + 1e-12
-            assert np.array_equal(res.x_hat, genmodel.forward(dec, res.z_hat))
+        x = rng.standard_normal(12) * 3
+        res = projection.project(dec, x, ProjectionConfig(steps=50), seed=2)
+        assert np.linalg.norm(res.z_hat) <= dec.latent_radius + 1e-12
+        assert np.array_equal(res.x_hat, genmodel.forward(dec, res.z_hat))
 
     def test_improvement_over_own_start(self):
         dec = genmodel.decoder_new(6, 3, [10], 14, 1.5, "tanh", 1.0)
         rng = np.random.default_rng(4)
-        cfg = ProjectionConfig(steps=40, restarts=1, init="zero")
+        cfg = ProjectionConfig(steps=40, restarts=1)
         for _ in range(10):
             x = rng.standard_normal(14)
-            res = projection.project(dec, x, cfg, seed=0)
+            res = projection.project(dec, x, cfg, seed=0,
+                                     warm_start=np.zeros(3))
             start = np.linalg.norm(genmodel.forward(dec, np.zeros(3)) - x)
             assert res.residual <= start + 1e-12
 
@@ -117,11 +116,10 @@ class TestProject:
         # target far outside the range pushes the latent against the ball
         dec = genmodel.orthonormal_linear_decoder(1, 2, 8, 0.1)
         x = 100.0 * dec.layers[0][0][:, 0]
-        for ball in projection.BALL_HANDLING:
-            cfg = ProjectionConfig(steps=30, init="zero", ball_handling=ball)
-            res = projection.project(dec, x, cfg, seed=0)
-            assert res.out_of_ball_steps > 0
-            assert np.linalg.norm(res.z_hat) <= 0.1 + 1e-12
+        res = projection.project(dec, x, ProjectionConfig(steps=30), seed=0,
+                                 warm_start=np.zeros(2))
+        assert res.out_of_ball_steps > 0
+        assert np.linalg.norm(res.z_hat) <= 0.1 + 1e-12
 
     def test_deterministic_given_seed(self):
         dec = genmodel.decoder_new(9, 3, [9], 15, 2.0, "tanh", 1.0)
@@ -177,15 +175,14 @@ class TestProjectExactLinear:
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), k=st.integers(1, 4),
        extra=st.integers(0, 12), scale=st.floats(0.1, 10.0),
-       ball=st.sampled_from(projection.BALL_HANDLING),
        restarts=st.integers(1, 2))
-def test_descent_never_beats_exact_projection(seed, k, extra, scale, ball,
+def test_descent_never_beats_exact_projection(seed, k, extra, scale,
                                               restarts):
     # on an orthonormal linear decoder the exact projection is optimal over
     # the ball, and every point the descent can return lies in the ball
     dec = genmodel.orthonormal_linear_decoder(seed, k, k + extra, 2.0)
     x = scale * np.random.default_rng(seed).standard_normal(dec.ambient_dim)
-    cfg = ProjectionConfig(steps=25, restarts=restarts, ball_handling=ball)
+    cfg = ProjectionConfig(steps=25, restarts=restarts)
     got = projection.project(dec, x, cfg, seed=seed)
     exact = oracles.project_exact_linear(dec, x)
     assert got.residual >= exact.residual - 1e-12
@@ -193,17 +190,15 @@ def test_descent_never_beats_exact_projection(seed, k, extra, scale, ball,
 
 class TestConfig:
     def test_json_round_trip(self):
-        cfg = ProjectionConfig(steps=77, restarts=3,
-                               ball_handling="project_at_end", init="zero")
+        cfg = ProjectionConfig(steps=77, restarts=3)
         back = projection.projection_from_json(projection.projection_to_json(cfg))
         assert back == cfg
         assert projection.projection_from_json({}) == ProjectionConfig()
         assert set(projection.projection_to_json(ProjectionConfig())) == {
-            "steps", "restarts", "ball_handling"}
+            "steps", "restarts"}
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ProjectionConfig(steps=0)
-        for field in ("init", "ball_handling"):
-            with pytest.raises(ValueError, match="unknown"):
-                ProjectionConfig(**{field: "bogus"})
+        with pytest.raises(ValueError):
+            ProjectionConfig(restarts=0)

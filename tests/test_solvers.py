@@ -262,9 +262,10 @@ class TestCsgm:
         dec = genmodel.identity_decoder(8, r=1.0)
         op = sensing.SensingOperator("dense_gaussian", 8, 8, 0, matrix=np.eye(8))
         y = np.full(8, 2.0)  # outside the ball, norm sqrt(8)*2
-        pcfg = ProjectionConfig(steps=100, init="zero")
+        pcfg = ProjectionConfig(steps=100)
         cfg = SolverConfig(step_size=1.0, iterations=1, projection=pcfg, seed=0)
-        x_hat, _ = solvers.csgm_baseline(op, y, dec, cfg)
+        x_hat, _ = solvers.csgm_baseline(op, y, dec, cfg,
+                                         warm_start=np.zeros(8))
         expected = y / np.linalg.norm(y)  # radial clip of y onto the ball
         assert np.linalg.norm(x_hat - expected) <= 1e-8
 
@@ -291,14 +292,12 @@ class TestCsgm:
         x_hat, _ = solvers.csgm_baseline(op, y, dec, cfg)
         assert np.linalg.norm(x_hat) <= 0.5 + 1e-12
 
-    def test_project_at_end_last_loss_is_that_of_the_returned_point(self):
-        # the end-of-descent clip (or the fallback to the start) moves the
-        # returned point off the last accepted iterate; the trajectory's
-        # last loss, which becomes TrialRecord.loss, must follow it
+    def test_last_loss_is_that_of_the_returned_point(self):
+        # targets beyond the ball clip the steps; the trajectory's last
+        # loss, which becomes TrialRecord.loss, must be the returned point's
         dec = genmodel.decoder_new(31, 3, [12], 20, 1.0, "identity")
         op = sensing.sensing_new("dense_gaussian", 12, 20, 5)
-        pcfg = ProjectionConfig(steps=15, restarts=3,
-                                ball_handling="project_at_end")
+        pcfg = ProjectionConfig(steps=15, restarts=3)
         cfg = SolverConfig(step_size=1.0, iterations=1, projection=pcfg,
                            seed=3)
         rng = np.random.default_rng(0)
