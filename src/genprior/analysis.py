@@ -49,9 +49,16 @@ __all__ = [
 ]
 
 WNU_SLACK = 0.05  # finite-sample allowance on the inner-product bound
+POLARIZATION_TOL = 1e-9  # relative, on the polarization identity
+ADJOINT_TOL = 1e-10  # relative, on <A x, v> = <x, A^T v>
+GRADIENT_TOL = 1e-5  # relative, loss gradients against central differences
+VJP_TOL = 1e-4  # relative, decoder vjp against central differences
+FD_STEP = 1e-6  # central-difference step in ambient space
+VJP_STEP = 1e-5  # central-difference step in latent space
 N_CAP = 100_000  # largest measurement count of a solve or a rate grid point
 OPERATOR_BUDGET = 2 ** 19  # dense operator cells (4 MiB) of one trial group
 CHECK_BLOCK = 16  # range pairs decoded and measured per batch
+OBSERVATIONS = ("sim", "known", "auto")  # "auto" follows the solver kind
 
 
 @dataclass(frozen=True)
@@ -160,15 +167,15 @@ def jle_check(op, points, eps):
                            "allowed_violations": 0})
 
 
-def wnu_check(op, decoder, nu, eps, pairs, seed, slack=WNU_SLACK):
+def wnu_check(op, decoder, nu, eps, pairs, seed):
     """Inner-product bound for W = I - (nu/n) A^T A on range differences:
-    |<W x1, x2>| <= (mu1(nu, eps) + slack) ||x1|| ||x2||.
+    |<W x1, x2>| <= (mu1(nu, eps) + WNU_SLACK) ||x1|| ||x2||.
 
     worst_margin is the smallest remaining slack (negative means violated).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    bound_coef = solvers.mu1_of(nu, eps) + slack
+    bound_coef = solvers.mu1_of(nu, eps) + WNU_SLACK
     violations = 0
     worst = math.inf
     tags = ("wnu-a", "wnu-b", "wnu-c", "wnu-d")
@@ -181,13 +188,14 @@ def wnu_check(op, decoder, nu, eps, pairs, seed, slack=WNU_SLACK):
         worst = min(worst, float(margin.min()))
         violations += int(np.count_nonzero(margin < 0))
     return _finish_report("wnu", pairs, violations, worst,
-                          {"nu": nu, "eps": eps, "slack": slack, "n": op.n,
-                           "seed": seed, "allowed_violations": 0})
+                          {"nu": nu, "eps": eps, "slack": WNU_SLACK,
+                           "n": op.n, "seed": seed, "allowed_violations": 0})
 
 
-def polarization_check(op, pairs, seed, tol=1e-9):
-    """x^T A^T A y must equal (||A(x+y)||^2 - ||A(x-y)||^2) / 4 up to tol
-    (relative); this is the algebraic identity behind the embedding bound."""
+def polarization_check(op, pairs, seed):
+    """x^T A^T A y must equal (||A(x+y)||^2 - ||A(x-y)||^2) / 4 up to
+    POLARIZATION_TOL (relative); this is the algebraic identity behind the
+    embedding bound."""
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
@@ -200,11 +208,11 @@ def polarization_check(op, pairs, seed, tol=1e-9):
         rhs = (plus - minus) / 4.0
         dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
         worst = max(worst, dev)
-        if dev > tol:
+        if dev > POLARIZATION_TOL:
             violations += 1
     return _finish_report("polarization", pairs, violations, worst,
-                          {"tol": tol, "n": op.n, "p": op.p, "seed": seed,
-                           "allowed_violations": 0})
+                          {"tol": POLARIZATION_TOL, "n": op.n, "p": op.p,
+                           "seed": seed, "allowed_violations": 0})
 
 
 def mvt_check(op, link, triples, seed):
@@ -233,8 +241,8 @@ def mvt_check(op, link, triples, seed):
                            "allowed_violations": 0})
 
 
-def adjoint_check(op, trials, seed, tol=1e-10):
-    """<A x, v> must match <x, A^T v> to tol relative."""
+def adjoint_check(op, trials, seed):
+    """<A x, v> must match <x, A^T v> to ADJOINT_TOL relative."""
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
@@ -245,15 +253,14 @@ def adjoint_check(op, trials, seed, tol=1e-10):
         rhs = float(x @ sensing.adjoint_apply(op, v))
         dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
         worst = max(worst, dev)
-        if dev > tol:
+        if dev > ADJOINT_TOL:
             violations += 1
     return _finish_report("adjoint", trials, violations, worst,
-                          {"tol": tol, "kind": op.kind, "n": op.n, "p": op.p,
-                           "seed": seed, "allowed_violations": 0})
+                          {"tol": ADJOINT_TOL, "kind": op.kind, "n": op.n,
+                           "p": op.p, "seed": seed, "allowed_violations": 0})
 
 
-def gradient_check(op, link, decoder, points, seed, tol=1e-5, vjp_tol=1e-4,
-                   fd_step=1e-6, vjp_step=1e-5):
+def gradient_check(op, link, decoder, points, seed):
     """Central finite differences against the analytic gradients of both
     losses and against the decoder vjp. One trial per random point; a trial
     fails if any compared coordinate exceeds its relative tolerance."""
@@ -265,18 +272,18 @@ def gradient_check(op, link, decoder, points, seed, tol=1e-5, vjp_tol=1e-4,
         x = rng.standard_normal(op.p)
         dev = max(
             _fd_dev(lambda u: solvers.loss_glasso(op, y, u),
-                    solvers.grad_glasso(op, y, x), x, fd_step),
+                    solvers.grad_glasso(op, y, x), x, FD_STEP),
             _fd_dev(lambda u: solvers.loss_nlasso(op, y, link, u),
-                    solvers.grad_nlasso(op, y, link, x), x, fd_step))
+                    solvers.grad_nlasso(op, y, link, x), x, FD_STEP))
         z = genmodel.sample_latent(decoder, rng.integers(2 ** 63))
         v = rng.standard_normal(decoder.ambient_dim)
         vdev = _fd_dev(lambda u: genmodel.forward(decoder, u) @ v,
-                       genmodel.vjp(decoder, z, v), z, vjp_step)
+                       genmodel.vjp(decoder, z, v), z, VJP_STEP)
         worst = max(worst, dev, vdev)
-        if dev > tol or vdev > vjp_tol:
+        if dev > GRADIENT_TOL or vdev > VJP_TOL:
             violations += 1
     return _finish_report("gradients", points, violations, worst,
-                          {"tol": tol, "vjp_tol": vjp_tol, "n": op.n,
+                          {"tol": GRADIENT_TOL, "vjp_tol": VJP_TOL, "n": op.n,
                            "p": op.p, "seed": seed, "allowed_violations": 0})
 
 
@@ -332,11 +339,17 @@ class TrialSetup:
     """Everything a Monte Carlo trial needs except its size and seed."""
     decoder: object
     link: object
-    solver_kind: str                 # pgd_glasso | pgd_nlasso | csgm
+    solver_kind: str                 # one of solvers.KINDS
     solver_cfg: solvers.SolverConfig
     sensing_kind: str = "dense_gaussian"
-    observation: str = "auto"        # sim | known | auto (follow the solver)
+    observation: str = "auto"        # one of OBSERVATIONS
     delta: float = 1e-3
+
+    def __post_init__(self):
+        if self.solver_kind not in solvers.KINDS:
+            raise ValueError(f"unknown solver kind {self.solver_kind!r}")
+        if self.observation not in OBSERVATIONS:
+            raise ValueError(f"unknown observation mode {self.observation!r}")
 
     def resolved_observation(self):
         if self.observation != "auto":
@@ -428,18 +441,15 @@ def _draw_instance(setup, n, seed):
     link = setup.link
     op = sensing.sensing_new(setup.sensing_kind, n, decoder.ambient_dim,
                              derive_seed(seed, "sensing"))
-    mode = setup.resolved_observation()
-    if mode == "sim":
+    if setup.resolved_observation() == "sim":
         x_star, z_star = plant_unit_signal(decoder, derive_seed(seed, "signal"))
         obs = observe_sim(link, op, x_star, derive_seed(seed, "observe"))
         target = link.mu * x_star
-    elif mode == "known":
+    else:
         z_star = genmodel.sample_latent(decoder, derive_seed(seed, "signal"))
         x_star = genmodel.forward(decoder, z_star)
         obs = observe_known(link, op, x_star, derive_seed(seed, "observe"))
         target = x_star
-    else:
-        raise ValueError(f"unknown observation mode {mode!r}")
     return _Instance(op, obs, x_star, z_star, target)
 
 

@@ -75,13 +75,13 @@ SCHEMA = {
         "linear": {"sigma": _Key(NUM), "tau": _Key(NUM)},
         "shifted_cosine": {"sigma": _Key(NUM), "tau": _Key(NUM)},
         "sign_dithered": {"sigma_d": _Key(NUM), "tau": _Key(NUM)}}),
-    "solver": {"kind": _Key(STR, True, ("pgd_glasso", "pgd_nlasso", "csgm")),
+    "solver": {"kind": _Key(STR, True, solvers.KINDS),
                "step_size": _Key(NUM), "iterations": _Key(INT),
                # "given" is library-only: the CLI cannot pass an x0
                "x0_mode": _Key(STR, False, ("zero", "random_range_point")),
                "projection": _Key(OBJ)},
     "solver.projection": {"steps": _Key(INT), "restarts": _Key(INT)},
-    "experiment": {"observation": _Key(STR, False, ("sim", "known", "auto")),
+    "experiment": {"observation": _Key(STR, False, analysis.OBSERVATIONS),
                    "delta": _Key(NUM), "grid": _Key(INTS),
                    "trials": _Key(INT)},
 }

@@ -2,8 +2,9 @@
 
 The decoder maps a bounded latent ball into ambient space. It is immutable
 after construction, its forward pass is deterministic, and it carries a
-certified Lipschitz upper bound (product of per-layer spectral norms; the
-activations used here are all 1-Lipschitz).
+certified Lipschitz upper bound: the product of its layers' exact spectral
+norms, computed when it is built (the activations used here are all
+1-Lipschitz).
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .seeding import derive_seed
-from .sensing import _power_norm
 
 __all__ = [
     "GenerativeDecoder",
@@ -39,6 +37,9 @@ class GenerativeDecoder:
     ``layers`` is an ordered list of (weight, bias) pairs; the activation is
     applied after every layer except the last. ``family`` records how the
     weights were generated so they can be rebuilt from the seed alone.
+    ``hidden_dims`` (the output dims of all layers but the last) and
+    ``lipschitz`` (the product of the layers' spectral norms) are derived
+    from ``layers`` at construction.
     """
 
     latent_dim: int
@@ -49,8 +50,8 @@ class GenerativeDecoder:
     seed: int
     weight_scale: float
     family: str = "mlp"
-    hidden_dims: tuple = ()
-    lipschitz: float = field(default=0.0)
+    hidden_dims: tuple = field(init=False)
+    lipschitz: float = field(init=False)
 
     def __post_init__(self):
         _check_dims(self.latent_dim, self.ambient_dim, self.latent_radius)
@@ -65,6 +66,9 @@ class GenerativeDecoder:
             dims.append(w.shape[0])
         if dims[-1] != self.ambient_dim:
             raise ValueError("last layer output dim != ambient dim")
+        object.__setattr__(self, "hidden_dims", tuple(dims[1:-1]))
+        object.__setattr__(self, "lipschitz", float(math.prod(
+            np.linalg.norm(w, 2) for w, _ in self.layers)))
 
 
 def _check_dims(k, p, r):
@@ -92,29 +96,17 @@ def decoder_new(seed, k, hidden_dims, p, r, activation="tanh", weight_scale=1.0)
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         w = rng.standard_normal((d_out, d_in)) * (weight_scale / np.sqrt(d_in))
         layers.append((w, np.zeros(d_out)))
-    dec = GenerativeDecoder(
-        latent_dim=int(k),
-        ambient_dim=int(p),
-        latent_radius=float(r),
-        layers=tuple(layers),
-        activation=activation,
-        seed=int(seed),
-        weight_scale=float(weight_scale),
-        family="mlp",
-        hidden_dims=tuple(int(h) for h in hidden_dims),
-    )
-    object.__setattr__(dec, "lipschitz", _lipschitz_product(dec))
-    return dec
+    return GenerativeDecoder(int(k), int(p), float(r), tuple(layers),
+                             activation, int(seed), float(weight_scale),
+                             family="mlp")
 
 
 def identity_decoder(k, r=1.0):
     """Decoder with a single identity layer: forward(z) = z."""
     _check_dims(k, k, r)
     layers = ((np.eye(k), np.zeros(k)),)
-    dec = GenerativeDecoder(k, k, float(r), layers, "identity", 0, 1.0,
-                            family="identity")
-    object.__setattr__(dec, "lipschitz", _lipschitz_product(dec))
-    return dec
+    return GenerativeDecoder(k, k, float(r), layers, "identity", 0, 1.0,
+                             family="identity")
 
 
 def orthonormal_linear_decoder(seed, k, p, r):
@@ -127,11 +119,9 @@ def orthonormal_linear_decoder(seed, k, p, r):
     rng = np.random.default_rng(seed)
     q, rmat = np.linalg.qr(rng.standard_normal((p, k)))
     q = q * np.sign(np.diag(rmat))  # canonical sign, deterministic
-    dec = GenerativeDecoder(int(k), int(p), float(r), ((q, np.zeros(p)),),
-                            "identity", int(seed), 1.0,
-                            family="orthonormal_linear")
-    object.__setattr__(dec, "lipschitz", _lipschitz_product(dec))
-    return dec
+    return GenerativeDecoder(int(k), int(p), float(r), ((q, np.zeros(p)),),
+                             "identity", int(seed), 1.0,
+                             family="orthonormal_linear")
 
 
 def forward(decoder, z):
@@ -184,7 +174,8 @@ def _jacobian_cached(decoder, z, hidden):
 
 
 def lipschitz_bound(decoder):
-    """Upper bound on the decoder's Lipschitz constant (cached at build)."""
+    """Upper bound on the decoder's Lipschitz constant: the product of its
+    layers' exact spectral norms, computed when the decoder is built."""
     return decoder.lipschitz
 
 
@@ -244,13 +235,3 @@ def _act(name, x):
     if name == "relu":
         return np.maximum(x, 0.0)
     return x
-
-
-def _lipschitz_product(decoder):
-    # tanh/relu/identity are 1-Lipschitz, so the product of per-layer
-    # spectral norms is a valid upper bound.
-    prod = 1.0
-    for i, (w, _) in enumerate(decoder.layers):
-        prod *= _power_norm(lambda v, w=w: w @ v, lambda u, w=w: w.T @ u,
-                            w.shape[1], derive_seed(decoder.seed, "lipschitz", i))
-    return prod

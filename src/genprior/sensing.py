@@ -89,26 +89,6 @@ def _checked(x, length):
     return x
 
 
-def _power_norm(matvec, rmatvec, dim, seed, tol=1e-8, max_iter=10_000):
-    """Top singular value of the map v -> matvec(v), whose adjoint is rmatvec,
-    by power iteration on its normal operator from a Gaussian start."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        u = matvec(v)
-        sigma_new = np.linalg.norm(u)
-        if sigma_new == 0.0:
-            return 0.0
-        v = rmatvec(u)
-        v /= np.linalg.norm(v)
-        if abs(sigma_new - sigma) <= tol * sigma_new:
-            return float(np.linalg.norm(matvec(v)))
-        sigma = sigma_new
-    return float(sigma)
-
-
 def _cyclic_convolve(g, x):
     # circ(g) x, with (circ(g))_{ij} = g_{(i-j) mod p}
     p = len(g)

@@ -44,6 +44,7 @@ ZETA_THEORY = 0.23        # inside the contraction window (1/(2l^2), 3/(2u^2))
                           # for l=1.5, u=2.5; ZETA_DEFAULT sits outside it
 ITERATIONS_DEFAULT = 30
 X0_MODES = ("zero", "random_range_point", "given")
+KINDS = ("pgd_glasso", "pgd_nlasso", "csgm")  # the solvers _solve_group runs
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,6 @@ def _solve_group(kind, ops, ys, link, decoder, cfg, seeds, targets,
     own solve to round-off: the trials share only the batched latent
     descents, whose rows never mix.
     """
-    if kind not in ("pgd_glasso", "pgd_nlasso", "csgm"):
-        raise ValueError(f"unknown solver kind {kind!r}")
     if kind == "pgd_nlasso":
         _require_differentiable(link)
     if not ops:

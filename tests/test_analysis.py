@@ -126,7 +126,7 @@ class TestWnu:
     def test_polarization_identity(self):
         for kind, n, p in [("dense_gaussian", 24, 32), ("partial_circulant", 12, 32)]:
             op = sensing.sensing_new(kind, n, p, 9)
-            rep = analysis.polarization_check(op, pairs=100, seed=7, tol=1e-9)
+            rep = analysis.polarization_check(op, pairs=100, seed=7)
             assert rep.violations == 0 and rep.worst_margin <= 1e-9
 
 
@@ -239,6 +239,13 @@ class TestTrials:
         [rec] = analysis.run_trials(setup, n=40, seeds=[1])
         assert math.isnan(rec.error)
         assert -1.0 <= rec.cosine <= 1.0
+
+    @pytest.mark.parametrize("change, message", [
+        ({"observation": "simulated"}, "unknown observation mode"),
+        ({"solver_kind": "pgd_lasso"}, "unknown solver kind")])
+    def test_unknown_choice_rejected_at_construction(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            replace(tiny_noiseless_setup(), **change)
 
 
 class TestRateExperiment:

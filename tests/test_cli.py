@@ -696,15 +696,26 @@ class TestConfigErrors:
         assert setup.decoder.hidden_dims == (32,)
 
 
+def child_env():
+    """The environment with the repository's src first on PYTHONPATH, so a
+    child interpreter imports genprior without an install."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
         proc = subprocess.run([sys.executable, "-m", "genprior.cli", "check",
-                               "mvt", "--quiet"], capture_output=True)
+                               "mvt", "--quiet"], capture_output=True,
+                              env=child_env())
         assert proc.returncode == 0
         assert proc.stderr == b""
 
     def test_stdout_determinism(self):
         cmd = [sys.executable, "-m", "genprior.cli", "check", "mvt"]
-        a = subprocess.run(cmd, capture_output=True)
-        b = subprocess.run(cmd, capture_output=True)
+        a = subprocess.run(cmd, capture_output=True, env=child_env())
+        b = subprocess.run(cmd, capture_output=True, env=child_env())
         assert a.stdout == b.stdout and a.returncode == b.returncode == 0

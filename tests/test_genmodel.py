@@ -66,6 +66,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="weight scale"):
             genmodel.decoder_new(0, 2, [], 4, 1.0, weight_scale=float("nan"))
 
+    def test_derived_fields_follow_layers(self):
+        layers = ((np.ones((3, 2)), np.zeros(3)), (np.ones((5, 3)), np.zeros(5)))
+        dec = genmodel.GenerativeDecoder(2, 5, 1.0, layers, "relu", 0, 1.0)
+        assert dec.hidden_dims == (3,)
+        assert genmodel.decoder_to_json(dec)["layer_dims"] == [3]
+        single = genmodel.GenerativeDecoder(
+            2, 5, 1.0, ((np.ones((5, 2)), np.zeros(5)),), "identity", 0, 1.0)
+        assert single.hidden_dims == ()
+        assert genmodel.decoder_to_json(single)["layer_dims"] == []
+        for key, value in (("hidden_dims", (7,)), ("lipschitz", 0.0)):
+            with pytest.raises(TypeError):
+                genmodel.GenerativeDecoder(2, 5, 1.0, single.layers, "identity",
+                                           0, 1.0, **{key: value})
+
     def test_empty_hidden_dims_allowed(self):
         dec = genmodel.decoder_new(0, 2, [], 6, 1.0)
         assert len(dec.layers) == 1
@@ -172,8 +186,18 @@ class TestLipschitzBound:
     def test_scaled_identity_is_two(self):
         layers = ((2.0 * np.eye(5), np.zeros(5)),)
         dec = genmodel.GenerativeDecoder(5, 5, 1.0, layers, "identity", 0, 1.0)
-        object.__setattr__(dec, "lipschitz", genmodel._lipschitz_product(dec))
         assert abs(genmodel.lipschitz_bound(dec) - 2.0) <= 1e-6
+
+    @pytest.mark.parametrize("k, p", [(20, 784), (8, 256), (4, 64), (3, 5)])
+    def test_bounds_the_worst_direction(self, k, p):
+        # v1, the top right singular vector of a linear decoder's weight,
+        # attains its Lipschitz constant; the bound may miss only by round-off
+        for seed in range(40):
+            dec = genmodel.decoder_new(seed, k, [], p, 3.0, "identity")
+            v1 = np.linalg.svd(dec.layers[0][0])[2][0]
+            gap = np.linalg.norm(genmodel.forward(dec, v1)
+                                 - genmodel.forward(dec, np.zeros(k)))
+            assert gap <= genmodel.lipschitz_bound(dec) * (1 + 1e-12)
 
     def test_matches_dense_svd_product(self):
         dec = genmodel.decoder_new(13, 4, [16, 24], 32, 1.0, "tanh", 1.0)

@@ -117,12 +117,12 @@ class TestMaterialize:
 class TestSpectralNorm:
     def test_identity_operator(self):
         op = impulse_circulant(8)
-        assert abs(oracles.spectral_norm(op, 1e-10) - 1.0) <= 1e-8
+        assert abs(oracles.spectral_norm(op) - 1.0) <= 1e-8
 
     def test_matches_dense_svd(self):
         op = sensing.sensing_new("dense_gaussian", 12, 20, 3)
         top = np.linalg.svd(op.matrix, compute_uv=False)[0]
-        got = oracles.spectral_norm(op, 1e-10)
+        got = oracles.spectral_norm(op)
         assert abs(got - top) <= 1e-6 * top
 
     def test_gaussian_bound_two_sqrt_n_plus_sqrt_p(self):
@@ -131,7 +131,7 @@ class TestSpectralNorm:
         bound = 2 * np.sqrt(n) + np.sqrt(p)
         for seed in range(20):
             op = sensing.sensing_new("dense_gaussian", n, p, seed)
-            assert oracles.spectral_norm(op, 1e-6) <= bound
+            assert oracles.spectral_norm(op) <= bound
 
 
 class TestRowIsotropy:
