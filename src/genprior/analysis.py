@@ -13,8 +13,7 @@ import ctypes
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,9 +42,7 @@ __all__ = [
     "solve_instance",
     "run_trials",
     "rate_experiment",
-    "report_to_json",
     "rate_table_to_csv",
-    "rate_table_to_json",
 ]
 
 WNU_SLACK = 0.05  # finite-sample allowance on the inner-product bound
@@ -377,10 +374,6 @@ class TrialRecord:
 @dataclass(frozen=True)
 class SolveResult:
     op: object
-    obs: object
-    x_star: np.ndarray
-    z_star: np.ndarray
-    target: np.ndarray
     matched: bool
     x_hat: np.ndarray
     trajectory: object
@@ -407,42 +400,35 @@ def run_trials(setup, n, seeds):
     return [res.record for res in _solve_seeds(setup, n, seeds)]
 
 
-class _Instance(NamedTuple):
-    op: object
-    obs: object
-    x_star: np.ndarray
-    z_star: np.ndarray
-    target: np.ndarray
-
-
 def _solve_seeds(setup, n, seeds):
     """SolveResults of the instances drawn from seeds, solved as one group."""
     matched = setup.matched()
     draws = [_draw_instance(setup, n, seed) for seed in seeds]
     solved = solvers._solve_group(
-        setup.solver_kind, [d.op for d in draws],
-        [d.obs.y_tilde for d in draws], setup.link, setup.decoder,
+        setup.solver_kind, [op for op, *_ in draws],
+        [y for _, y, *_ in draws], setup.link, setup.decoder,
         setup.solver_cfg, [derive_seed(seed, "solver") for seed in seeds],
-        [d.target if matched else None for d in draws])
+        [target if matched else None for *_, target in draws])
     results = []
-    for seed, d, (x_hat, traj) in zip(seeds, draws, solved):
-        error = (float(np.linalg.norm(x_hat - d.target)) if matched
+    for seed, (op, _, x_star, target), (x_hat, traj) in zip(seeds, draws,
+                                                              solved):
+        error = (float(np.linalg.norm(x_hat - target)) if matched
                  else float("nan"))
-        cos = (cosine_similarity(d.x_star, x_hat)
+        cos = (cosine_similarity(x_star, x_hat)
                if np.linalg.norm(x_hat) > 0 else float("nan"))
         rec = TrialRecord(int(n), int(seed), error, cos, traj.loss_values[-1])
-        results.append(SolveResult(*d, matched, x_hat, traj, rec))
+        results.append(SolveResult(op, matched, x_hat, traj, rec))
     return results
 
 
 def _draw_instance(setup, n, seed):
-    """The operator, observations, signal and error target of one seed."""
+    """The operator, measurements, signal and error target of one seed."""
     decoder = setup.decoder
     link = setup.link
     op = sensing.sensing_new(setup.sensing_kind, n, decoder.ambient_dim,
                              derive_seed(seed, "sensing"))
     if setup.resolved_observation() == "sim":
-        x_star, z_star = plant_unit_signal(decoder, derive_seed(seed, "signal"))
+        x_star, _ = plant_unit_signal(decoder, derive_seed(seed, "signal"))
         obs = observe_sim(link, op, x_star, derive_seed(seed, "observe"))
         target = link.mu * x_star
     else:
@@ -450,7 +436,7 @@ def _draw_instance(setup, n, seed):
         x_star = genmodel.forward(decoder, z_star)
         obs = observe_known(link, op, x_star, derive_seed(seed, "observe"))
         target = x_star
-    return _Instance(op, obs, x_star, z_star, target)
+    return op, obs.y_tilde, x_star, target
 
 
 @dataclass(frozen=True)
@@ -497,8 +483,7 @@ def rate_experiment(grid, trials, setup, seed, threads=1):
         raise ValueError("rate experiment needs a solver matching the "
                          "observation model so the error target is defined")
     decoder = setup.decoder
-    lip = genmodel.lipschitz_bound(decoder)
-    lr = lip * decoder.latent_radius
+    lr = decoder.lipschitz * decoder.latent_radius
     if not 0 < setup.delta < lr:  # the rate's log(L r / delta) is positive
         raise ValueError(f"delta must be in (0, L r) = (0, {lr:.6g}), "
                          f"got {setup.delta}")
@@ -528,7 +513,7 @@ def rate_experiment(grid, trials, setup, seed, threads=1):
                          float(c * s[i]))
                  for i, n in enumerate(grid))
     return RateTable(rows, c, decoder.latent_dim, decoder.ambient_dim,
-                     lip, decoder.latent_radius, setup.delta,
+                     decoder.lipschitz, decoder.latent_radius, setup.delta,
                      setup.link.kind, setup.solver_kind)
 
 
@@ -580,20 +565,6 @@ def _openblas():
     return tuple((getattr(lib, pre + "get" + suf), getattr(lib, pre + "set" + suf))
                  for lib in libs for pre, suf in names
                  if hasattr(lib, pre + "get" + suf))
-
-
-def report_to_json(report):
-    return asdict(report)
-
-
-def rate_table_to_json(table):
-    return {
-        "k": table.k, "p": table.p, "lipschitz": table.lipschitz,
-        "r": table.r, "delta": table.delta,
-        "link_kind": table.link_kind, "solver_kind": table.solver_kind,
-        "fitted_constant": table.fitted_constant,
-        "rows": [asdict(r) for r in table.rows],
-    }
 
 
 def rate_table_to_csv(table, path):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -170,7 +171,7 @@ def cmd_solve(args):
         "solver": setup.solver_kind,
         "link": setup.link.kind,
         "mu": setup.link.mu,
-        "lipschitz_bound": genmodel.lipschitz_bound(setup.decoder),
+        "lipschitz_bound": setup.decoder.lipschitz,
         "final_loss": result.record.loss,
         "l2_error": None if not result.matched else result.record.error,
         "cosine_similarity": result.record.cosine,
@@ -181,7 +182,7 @@ def cmd_solve(args):
                               os.path.join(out_dir, "trajectory.csv"))
     _write_json(os.path.join(out_dir, "metrics.json"), metrics)
     _write_json(os.path.join(out_dir, "instance.json"),
-                _instance_doc(cfg, setup, n, master))
+                _instance_doc(cfg, setup, result, master))
     if not args.quiet:
         print(f"solve: loss={metrics['final_loss']:.6g} "
               f"cosine={metrics['cosine_similarity']:.4f} -> {out_dir}")
@@ -203,8 +204,7 @@ def cmd_rate(args):
     with _reported("output directory", OSError):
         os.makedirs(out_dir, exist_ok=True)
     analysis.rate_table_to_csv(table, os.path.join(out_dir, "rate.csv"))
-    _write_json(os.path.join(out_dir, "rate.json"),
-                analysis.rate_table_to_json(table))
+    _write_json(os.path.join(out_dir, "rate.json"), dataclasses.asdict(table))
     if not args.quiet:
         for row in table.rows:
             print(f"n={row.n}: median={row.median_error:.4g} "
@@ -216,14 +216,15 @@ def cmd_rate(args):
 # ----------------------------------------------------------------- check
 
 def cmd_check(args):
-    if args.n is not None and args.n < 1:
-        raise ConfigError(f"check {args.suite}: --n must be >= 1, got {args.n}")
+    if args.n is not None and not 1 <= args.n <= analysis.N_CAP:
+        bound = ">= 1" if args.n < 1 else f"<= {analysis.N_CAP}"
+        raise ConfigError(f"check {args.suite}: --n must be {bound}, "
+                          f"got {args.n}")
     with _reported(f"check {args.suite}"):
         reports = _run_suite(args.suite, args.seed, args.n)
     passed = all(r.passed for r in reports)
     if args.json and not args.quiet:
-        print(json.dumps([analysis.report_to_json(r) for r in reports],
-                         indent=2))
+        print(json.dumps([dataclasses.asdict(r) for r in reports], indent=2))
     elif not args.quiet:
         for r in reports:
             print(r.summary())
@@ -236,7 +237,7 @@ def _check_decoder(seed):
 
 
 def _calibrated_n(decoder, factor, eps, delta):
-    lr = genmodel.lipschitz_bound(decoder) * decoder.latent_radius
+    lr = decoder.lipschitz * decoder.latent_radius
     return max(1, math.ceil(factor * decoder.latent_dim / eps ** 2
                             * math.log(lr / delta)))
 
@@ -318,7 +319,7 @@ def cmd_model_new(args):
             "layer_dims": hidden, "p": args.p, "r": args.r,
             "activation": args.activation, "weight_scale": args.scale})
     doc = genmodel.decoder_to_json(dec)
-    doc["lipschitz_bound"] = genmodel.lipschitz_bound(dec)
+    doc["lipschitz_bound"] = dec.lipschitz
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
         with _reported("--out", OSError), open(args.out, "w") as fh:
@@ -336,7 +337,7 @@ def cmd_model_info(args):
         raise ConfigError(f"{args.path}: {e}") from e
     print(f"family={dec.family} k={dec.latent_dim} p={dec.ambient_dim} "
           f"r={dec.latent_radius} activation={dec.activation} "
-          f"layers={len(dec.layers)} L={genmodel.lipschitz_bound(dec):.6g}")
+          f"layers={len(dec.layers)} L={dec.lipschitz:.6g}")
     return EXIT_OK
 
 
@@ -419,8 +420,8 @@ def _build_setup(cfg, args):
         scfg = solvers.SolverConfig(
             step_size=solver.get("step_size", solvers.ZETA_DEFAULT if nlasso
                                  else solvers.NU_DEFAULT),
-            projection=projection.projection_from_json(
-                solver.get("projection", {})),
+            projection=projection.ProjectionConfig(
+                **solver.get("projection", {})),
             **_args(solver, iterations="iterations", x0_mode="x0_mode"))
     setup = analysis.TrialSetup(
         decoder=decoder, link=link, solver_kind=solver["kind"],
@@ -429,20 +430,20 @@ def _build_setup(cfg, args):
     return setup, sense.get("n"), master, out_dir
 
 
-def _instance_doc(cfg, setup, n, master):
+def _instance_doc(cfg, setup, result, master):
+    proj = setup.solver_cfg.projection
     return {
         "master_seed": master,
         "decoder": genmodel.decoder_to_json(setup.decoder),
-        "sensing": {"kind": setup.sensing_kind, "n": n,
-                    "seed": derive_seed(derive_seed(master, "solve"), "sensing")},
+        "sensing": {"kind": setup.sensing_kind, "n": result.op.n,
+                    "seed": result.op.seed},
         "link": cfg.get("link"),
         "solver": {
             "kind": setup.solver_kind,
             "step_size": setup.solver_cfg.step_size,
             "iterations": setup.solver_cfg.iterations,
             "x0_mode": setup.solver_cfg.x0_mode,
-            "projection": projection.projection_to_json(
-                setup.solver_cfg.projection),
+            "projection": {"steps": proj.steps, "restarts": proj.restarts},
         },
         "observation": setup.resolved_observation(),
     }

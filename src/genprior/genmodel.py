@@ -21,7 +21,6 @@ __all__ = [
     "orthonormal_linear_decoder",
     "forward",
     "vjp",
-    "lipschitz_bound",
     "sample_latent",
     "decoder_to_json",
     "decoder_from_json",
@@ -73,11 +72,21 @@ class GenerativeDecoder:
 
 def _check_dims(k, p, r):
     """The checks on k, p and r that every decoder family shares; factories
-    run them before drawing weights."""
+    run them before drawing weights. Returns k and p as ints."""
+    k, p = _size(k, "k"), _size(p, "p")
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p, got k = {k}, p = {p}")
     if not 0 < r < math.inf:
         raise ValueError(f"r must be finite and positive, got {r}")
+    return k, p
+
+
+def _size(value, name):
+    """value as an int; a bool, a float or any other non-integer is rejected
+    rather than truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def decoder_new(seed, k, hidden_dims, p, r, activation="tanh", weight_scale=1.0):
@@ -85,10 +94,10 @@ def decoder_new(seed, k, hidden_dims, p, r, activation="tanh", weight_scale=1.0)
 
     Biases are zero. Empty ``hidden_dims`` yields a single linear layer.
     """
-    _check_dims(k, p, r)
+    k, p = _check_dims(k, p, r)
     if not 0 < weight_scale < math.inf:
         raise ValueError("weight scale must be finite and positive")
-    dims = [int(k)] + [int(h) for h in hidden_dims] + [int(p)]
+    dims = [k, *(_size(h, "a hidden dim") for h in hidden_dims), p]
     if min(dims[:-1]) < 1:  # each fan-in divides a weight std
         raise ValueError("hidden dims must be positive")
     rng = np.random.default_rng(seed)
@@ -96,14 +105,14 @@ def decoder_new(seed, k, hidden_dims, p, r, activation="tanh", weight_scale=1.0)
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         w = rng.standard_normal((d_out, d_in)) * (weight_scale / np.sqrt(d_in))
         layers.append((w, np.zeros(d_out)))
-    return GenerativeDecoder(int(k), int(p), float(r), tuple(layers),
+    return GenerativeDecoder(k, p, float(r), tuple(layers),
                              activation, int(seed), float(weight_scale),
                              family="mlp")
 
 
 def identity_decoder(k, r=1.0):
     """Decoder with a single identity layer: forward(z) = z."""
-    _check_dims(k, k, r)
+    k, _ = _check_dims(k, k, r)
     layers = ((np.eye(k), np.zeros(k)),)
     return GenerativeDecoder(k, k, float(r), layers, "identity", 0, 1.0,
                              family="identity")
@@ -115,11 +124,11 @@ def orthonormal_linear_decoder(seed, k, p, r):
     Projection onto the range of this decoder has a closed form, which makes
     it the exact-projection oracle used in tests.
     """
-    _check_dims(k, p, r)
+    k, p = _check_dims(k, p, r)
     rng = np.random.default_rng(seed)
     q, rmat = np.linalg.qr(rng.standard_normal((p, k)))
     q = q * np.sign(np.diag(rmat))  # canonical sign, deterministic
-    return GenerativeDecoder(int(k), int(p), float(r), ((q, np.zeros(p)),),
+    return GenerativeDecoder(k, p, float(r), ((q, np.zeros(p)),),
                              "identity", int(seed), 1.0,
                              family="orthonormal_linear")
 
@@ -171,12 +180,6 @@ def _jacobian_cached(decoder, z, hidden):
             jt = jt * (1.0 - h * h if tanh else h > 0)[:, None]
         jt = (jt.reshape(-1, w.shape[1]) @ w.T).reshape(len(z), -1, w.shape[0])
     return np.swapaxes(jt, 1, 2)
-
-
-def lipschitz_bound(decoder):
-    """Upper bound on the decoder's Lipschitz constant: the product of its
-    layers' exact spectral norms, computed when the decoder is built."""
-    return decoder.lipschitz
 
 
 def sample_latent(decoder, seed, inset=0.9):

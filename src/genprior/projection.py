@@ -19,8 +19,6 @@ __all__ = [
     "ProjectionConfig",
     "ProjectionResult",
     "project",
-    "projection_to_json",
-    "projection_from_json",
 ]
 
 # Gauss-Newton stops a row once a step moves its value by at most this share
@@ -80,16 +78,6 @@ def _project_rows(decoder, x, cfg, seeds, warm_starts):
                                     float(np.linalg.norm(x_hat - x[t])),
                                     int(i - t * cfg.restarts), int(oob[i])))
     return out
-
-
-def projection_to_json(cfg):
-    return {"steps": cfg.steps, "restarts": cfg.restarts}
-
-
-def projection_from_json(doc):
-    """The config of a ``projection_to_json`` document; absent keys keep
-    their defaults."""
-    return ProjectionConfig(**doc)
 
 
 def _start_latents(decoder, cfg, seed, label, warm_start):

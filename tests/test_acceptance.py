@@ -182,7 +182,7 @@ def test_criterion_6_known_vs_unknown():
 @criterion(7, "concentration checks with frozen constants")
 def test_criterion_7_concentration_checks():
     dec = genmodel.decoder_new(11, 4, [16], 64, 3.0, "tanh", 1.0)
-    lr = genmodel.lipschitz_bound(dec) * dec.latent_radius
+    lr = dec.lipschitz * dec.latent_radius
     # frozen calibrations: C = 8 for the two-sided condition at eps = 0.5,
     # C = 1 for the inner-product bound at eps = 0.3
     n_tsrec = math.ceil(8 * dec.latent_dim * math.log(lr / 0.01))

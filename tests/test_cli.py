@@ -11,7 +11,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from genprior import analysis, cli, sensing
+from genprior import analysis, cli, derive_seed, sensing
 
 
 def write_config(path, **overrides):
@@ -159,6 +159,23 @@ class TestSolve:
                   "--seed", "99", "--quiet"])
         assert read_tree(a) != read_tree(b)
 
+    @pytest.mark.parametrize("section, recorded", [
+        ({"steps": 77, "restarts": 3}, {"steps": 77, "restarts": 3}),
+        ({}, {"steps": 200, "restarts": 1})])  # ProjectionConfig defaults
+    def test_instance_records_the_resolved_instance(self, tmp_path, section,
+                                                    recorded):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, solver={"kind": "pgd_glasso", "iterations": 2,
+                                       "projection": section})
+        out = tmp_path / "run"
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out),
+                         "--quiet"]) == 0
+        doc = json.loads((out / "instance.json").read_text())
+        assert doc["solver"]["projection"] == recorded
+        assert doc["sensing"] == {
+            "kind": "dense_gaussian", "n": 40,
+            "seed": derive_seed(derive_seed(7, "solve"), "sensing")}
+
 
 class TestRate:
     def test_two_row_csv_and_determinism(self, tmp_path):
@@ -173,6 +190,24 @@ class TestRate:
         assert cli.main(["rate", "--config", str(cfg_path), "--out", str(b),
                          "--quiet"]) == 0
         assert read_tree(a) == read_tree(b)
+
+    def test_json_holds_the_csv_table(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, experiment={"grid": [40, 80], "trials": 10})
+        out = tmp_path / "run"
+        assert cli.main(["rate", "--config", str(cfg_path), "--out", str(out),
+                         "--quiet"]) == 0
+        doc = json.loads((out / "rate.json").read_text())
+        rows = doc.pop("rows")
+        assert doc == {"k": 3, "p": 32, "lipschitz": pytest.approx(1.0),
+                       "r": 3.0, "delta": 1e-3, "link_kind": "linear",
+                       "solver_kind": "pgd_glasso",
+                       "fitted_constant": doc["fitted_constant"]}
+        lines = (out / "rate.csv").read_text().strip().splitlines()[1:]
+        assert [(row["n"], row["trials"], row["median_error"], row["predicted"])
+                for row in rows] == [
+            (int(n), int(t), float(med), float(pred))
+            for n, t, med, _, _, pred, _ in (ln.split(",") for ln in lines)]
 
     # rate draws its measurement counts from experiment.grid alone
     @pytest.mark.parametrize("sensing_section", [
@@ -352,6 +387,15 @@ class TestCheck:
             d["name"], d["trials"], d["violations"], d["worst_margin"],
             d["params"], d["passed"]).summary() for d in docs] == lines
 
+    def test_json_report_fields(self, capsys):
+        assert cli.main(["check", "adjoint", "--json"]) == 0
+        docs = json.loads(capsys.readouterr().out)
+        assert [(d["name"], d["trials"], d["violations"], d["passed"])
+                for d in docs] == [("adjoint", 100, 0, True)] * 4
+        assert [d["params"]["kind"] for d in docs] == [
+            "dense_gaussian", "dense_gaussian", "partial_circulant",
+            "partial_circulant"]
+
     def test_json_quiet_prints_nothing(self, capsys):
         assert cli.main(["check", "mvt", "--json", "--quiet"]) == 0
         assert capsys.readouterr().out == ""
@@ -386,6 +430,19 @@ class TestCheck:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"config error: check tsrec: --n must be >= 1, got {n}\n"
+
+    @pytest.mark.parametrize("suite", cli.CHECK_SUITES)
+    def test_n_above_cap_rejected_before_any_draw(self, capsys, monkeypatch,
+                                                  suite):
+        def no_draw(*args):
+            raise AssertionError("an operator was drawn")
+        monkeypatch.setattr(sensing, "sensing_new", no_draw)
+        n = analysis.N_CAP + 1
+        assert cli.main(["check", suite, "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"config error: check {suite}: --n must be "
+                       f"<= {analysis.N_CAP}, got {n}\n")
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
@@ -438,6 +495,20 @@ class TestModel:
         err = capsys.readouterr().err
         assert err.startswith("config error: --out:")
         assert str(path) in err and err.count("\n") == 1
+
+    # sizes that a config's decoder section rejects are not truncated
+    @pytest.mark.parametrize("field, message", [
+        ({"k": 2.5}, "k must be an integer, got 2.5"),
+        ({"layer_dims": "12"}, "a hidden dim must be an integer, got '1'"),
+        ({"layer_dims": [3.7]}, "a hidden dim must be an integer, got 3.7")])
+    def test_info_rejects_non_integral_sizes(self, tmp_path, capsys, field,
+                                             message):
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps({"family": "mlp", "k": 2, "p": 8, "r": 1.0,
+                                    "seed": 0, "layer_dims": [4], **field}))
+        assert cli.main(["model", "info", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"config error: {path}: {message}\n")
 
     def test_info_on_mistyped_field(self, tmp_path, capsys):
         path = tmp_path / "dec.json"

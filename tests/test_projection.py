@@ -189,14 +189,6 @@ def test_descent_never_beats_exact_projection(seed, k, extra, scale,
 
 
 class TestConfig:
-    def test_json_round_trip(self):
-        cfg = ProjectionConfig(steps=77, restarts=3)
-        back = projection.projection_from_json(projection.projection_to_json(cfg))
-        assert back == cfg
-        assert projection.projection_from_json({}) == ProjectionConfig()
-        assert set(projection.projection_to_json(ProjectionConfig())) == {
-            "steps", "restarts"}
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ProjectionConfig(steps=0)

@@ -119,12 +119,6 @@ class TestSpectralNorm:
         op = impulse_circulant(8)
         assert abs(oracles.spectral_norm(op) - 1.0) <= 1e-8
 
-    def test_matches_dense_svd(self):
-        op = sensing.sensing_new("dense_gaussian", 12, 20, 3)
-        top = np.linalg.svd(op.matrix, compute_uv=False)[0]
-        got = oracles.spectral_norm(op)
-        assert abs(got - top) <= 1e-6 * top
-
     def test_gaussian_bound_two_sqrt_n_plus_sqrt_p(self):
         # high-probability bound on the operator norm of an n x p Gaussian
         n, p = 200, 400
