@@ -8,7 +8,6 @@ aggregates medians against the k log(L r / delta) / n scaling.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
 import math
@@ -42,7 +41,6 @@ __all__ = [
     "solve_instance",
     "run_trials",
     "rate_experiment",
-    "rate_table_to_csv",
 ]
 
 WNU_SLACK = 0.05  # finite-sample allowance on the inner-product bound
@@ -347,6 +345,9 @@ class TrialSetup:
             raise ValueError(f"unknown solver kind {self.solver_kind!r}")
         if self.observation not in OBSERVATIONS:
             raise ValueError(f"unknown observation mode {self.observation!r}")
+        if self.solver_kind == "pgd_nlasso" and not self.link.differentiable:
+            raise UnsupportedOperationError(
+                "pgd_nlasso needs a differentiable link")
 
     def resolved_observation(self):
         if self.observation != "auto":
@@ -565,16 +566,3 @@ def _openblas():
     return tuple((getattr(lib, pre + "get" + suf), getattr(lib, pre + "set" + suf))
                  for lib in libs for pre, suf in names
                  if hasattr(lib, pre + "get" + suf))
-
-
-def rate_table_to_csv(table, path):
-    """Rows (n, trials, median_error, q25, q75, predicted, ratio);
-    ratio = median_error / predicted measures the fit of the rate curve."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "trials", "median_error", "q25", "q75",
-                    "predicted", "ratio"])
-        for r in table.rows:
-            ratio = r.median_error / r.predicted if r.predicted > 0 else float("nan")
-            w.writerow([r.n, r.trials, repr(r.median_error), repr(r.q25),
-                        repr(r.q75), repr(r.predicted), repr(ratio)])

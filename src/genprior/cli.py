@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import csv
 import dataclasses
 import json
 import math
@@ -86,6 +87,11 @@ SCHEMA = {
                    "delta": _Key(NUM), "grid": _Key(INTS),
                    "trials": _Key(INT)},
 }
+# The genmodel factory of each decoder family. Its parameters are the
+# family's keys in SCHEMA, with layer_dims passed as hidden_dims.
+FACTORIES = {"mlp": "decoder_new",
+             "orthonormal_linear": "orthonormal_linear_decoder",
+             "identity": "identity_decoder"}
 
 
 def main(argv=None):
@@ -178,8 +184,8 @@ def cmd_solve(args):
     }
     with _reported("output directory", OSError):
         os.makedirs(out_dir, exist_ok=True)
-    solvers.trajectory_to_csv(result.trajectory,
-                              os.path.join(out_dir, "trajectory.csv"))
+    _write_trajectory_csv(result.trajectory,
+                          os.path.join(out_dir, "trajectory.csv"))
     _write_json(os.path.join(out_dir, "metrics.json"), metrics)
     _write_json(os.path.join(out_dir, "instance.json"),
                 _instance_doc(cfg, setup, result, master))
@@ -203,7 +209,7 @@ def cmd_rate(args):
                                          threads=_threads(args))
     with _reported("output directory", OSError):
         os.makedirs(out_dir, exist_ok=True)
-    analysis.rate_table_to_csv(table, os.path.join(out_dir, "rate.csv"))
+    _write_rate_csv(table, os.path.join(out_dir, "rate.csv"))
     _write_json(os.path.join(out_dir, "rate.json"), dataclasses.asdict(table))
     if not args.quiet:
         for row in table.rows:
@@ -314,13 +320,11 @@ def cmd_model_new(args):
     with _reported("--hidden"):
         hidden = [int(h) for h in args.hidden.split(",") if h.strip()]
     with _reported("model new"):
-        dec = genmodel.decoder_from_json({
+        dec = _decoder({
             "family": args.family, "seed": args.seed, "k": args.k,
             "layer_dims": hidden, "p": args.p, "r": args.r,
             "activation": args.activation, "weight_scale": args.scale})
-    doc = genmodel.decoder_to_json(dec)
-    doc["lipschitz_bound"] = dec.lipschitz
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_decoder_section(dec), sort_keys=True, indent=2) + "\n"
     if args.out:
         with _reported("--out", OSError), open(args.out, "w") as fh:
             fh.write(text)
@@ -331,10 +335,9 @@ def cmd_model_new(args):
 
 def cmd_model_info(args):
     doc = _load_config(args.path)
-    try:
-        dec = genmodel.decoder_from_json(doc)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"{args.path}: {e}") from e
+    with _reported(args.path, (ConfigError, ValueError)):
+        _check(doc, "decoder")
+        dec = _decoder(doc)
     print(f"family={dec.family} k={dec.latent_dim} p={dec.ambient_dim} "
           f"r={dec.latent_radius} activation={dec.activation} "
           f"layers={len(dec.layers)} L={dec.lipschitz:.6g}")
@@ -408,14 +411,11 @@ def _build_setup(cfg, args):
     out_dir = args.out or cfg.get("out_dir", "genprior-out")
     sense, solver, exp = cfg["sensing"], cfg["solver"], cfg.get("experiment", {})
     with _reported("decoder"):
-        decoder = genmodel.decoder_from_json(
-            {"seed": derive_seed(master, "decoder"), **cfg["decoder"]})
+        decoder = _decoder(cfg["decoder"], derive_seed(master, "decoder"))
     link_args = dict(cfg["link"])
     with _reported("link"):
         link = getattr(measurement, link_args.pop("kind") + "_link")(**link_args)
     nlasso = solver["kind"] == "pgd_nlasso"
-    if nlasso and not link.differentiable:
-        raise UnsupportedOperationError("pgd_nlasso needs a differentiable link")
     with _reported("solver"):
         scfg = solvers.SolverConfig(
             step_size=solver.get("step_size", solvers.ZETA_DEFAULT if nlasso
@@ -430,11 +430,39 @@ def _build_setup(cfg, args):
     return setup, sense.get("n"), master, out_dir
 
 
+def _decoder(doc, seed=None):
+    """The decoder of a decoder section: its family's factory called with
+    the keys SCHEMA gives that family. Other keys are left out, so a file
+    is checked against SCHEMA first; ``model new`` passes every flag. A
+    family that takes a seed is given seed when doc has none, and needs
+    one or the other."""
+    family = doc.get("family", "mlp")
+    keys = SCHEMA["decoder"][2][family]
+    args = {key: doc[key] for key in keys if key in doc}
+    if family == "mlp":
+        args["hidden_dims"] = args.pop("layer_dims", [])
+    if "seed" in keys:
+        args.setdefault("seed", seed)
+        if args["seed"] is None:
+            raise ConfigError("decoder.seed: missing required key")
+    return getattr(genmodel, FACTORIES[family])(**args)
+
+
+def _decoder_section(dec):
+    """The decoder section that rebuilds dec: the keys of its family."""
+    values = {"family": dec.family, "seed": dec.seed, "k": dec.latent_dim,
+              "p": dec.ambient_dim, "r": dec.latent_radius,
+              "activation": dec.activation, "layer_dims": list(dec.hidden_dims),
+              "weight_scale": dec.weight_scale}
+    return {key: values[key]
+            for key in ("family", *SCHEMA["decoder"][2][dec.family])}
+
+
 def _instance_doc(cfg, setup, result, master):
     proj = setup.solver_cfg.projection
     return {
         "master_seed": master,
-        "decoder": genmodel.decoder_to_json(setup.decoder),
+        "decoder": _decoder_section(setup.decoder),
         "sensing": {"kind": setup.sensing_kind, "n": result.op.n,
                     "seed": result.op.seed},
         "link": cfg.get("link"),
@@ -453,6 +481,35 @@ def _write_json(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_trajectory_csv(traj, path):
+    """Rows (t, loss, error, ratio); ratio at row t is error_t / error_{t-1}."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "loss", "error", "ratio"])
+        ratios = traj.contraction_ratios
+        for t, loss in enumerate(traj.loss_values):
+            err = traj.error_to_target[t] if traj.error_to_target else ""
+            ratio = ratios[t - 1] if 1 <= t <= len(ratios) else ""
+            w.writerow([t, _fmt(loss), _fmt(err), _fmt(ratio)])
+
+
+def _fmt(v):
+    return repr(float(v)) if v != "" else ""
+
+
+def _write_rate_csv(table, path):
+    """Rows (n, trials, median_error, q25, q75, predicted, ratio);
+    ratio = median_error / predicted measures the fit of the rate curve."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["n", "trials", "median_error", "q25", "q75",
+                    "predicted", "ratio"])
+        for r in table.rows:
+            ratio = r.median_error / r.predicted if r.predicted > 0 else float("nan")
+            w.writerow([r.n, r.trials, repr(r.median_error), repr(r.q25),
+                        repr(r.q75), repr(r.predicted), repr(ratio)])
 
 
 def _threads(args):

@@ -22,8 +22,6 @@ __all__ = [
     "forward",
     "vjp",
     "sample_latent",
-    "decoder_to_json",
-    "decoder_from_json",
 ]
 
 ACTIVATIONS = ("tanh", "relu", "identity")
@@ -202,34 +200,6 @@ def _sample_latents(decoder, rng, count, inset):
     radius = np.array([scale * u ** (1.0 / k)
                        for u in rng.random(count).tolist()])
     return radius[:, None] * (d / np.sqrt(np.vecdot(d, d))[:, None])
-
-
-def decoder_to_json(decoder):
-    """JSON-serializable description; weights regenerate from the seed."""
-    doc = {
-        "family": decoder.family,
-        "k": decoder.latent_dim,
-        "p": decoder.ambient_dim,
-        "r": decoder.latent_radius,
-        "activation": decoder.activation,
-        "seed": decoder.seed,
-        "layer_dims": list(decoder.hidden_dims),
-        "weight_scale": decoder.weight_scale,
-    }
-    return doc
-
-
-def decoder_from_json(doc):
-    family = doc.get("family", "mlp")
-    if family == "mlp":
-        return decoder_new(doc["seed"], doc["k"], doc.get("layer_dims", []),
-                           doc["p"], doc["r"], doc.get("activation", "tanh"),
-                           doc.get("weight_scale", 1.0))
-    if family == "orthonormal_linear":
-        return orthonormal_linear_decoder(doc["seed"], doc["k"], doc["p"], doc["r"])
-    if family == "identity":
-        return identity_decoder(doc["k"], doc["r"])
-    raise ValueError(f"unknown decoder family {family!r}")
 
 
 def _act(name, x):

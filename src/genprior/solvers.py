@@ -9,7 +9,6 @@ over the latent variable directly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "csgm_baseline",
     "mu1_of",
     "mu2_of",
-    "trajectory_to_csv",
     "NU_DEFAULT",
     "ZETA_DEFAULT",
     "ZETA_THEORY",
@@ -124,6 +122,7 @@ def pgd_nlasso(op, y_tilde, link, decoder, cfg, target=None):
     Requires a differentiable link; the error target, when given, is the
     signal itself.
     """
+    _require_differentiable(link)
     return _solve_group("pgd_nlasso", [op], [y_tilde], link, decoder, cfg,
                         [cfg.seed], [target])[0]
 
@@ -153,22 +152,6 @@ def mu2_of(zeta, l, u, eps):
                zeta * (u * u) * (1.0 + eps) - 1.0)
 
 
-def trajectory_to_csv(traj, path):
-    """Rows (t, loss, error, ratio); ratio at row t is error_t / error_{t-1}."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "loss", "error", "ratio"])
-        ratios = traj.contraction_ratios
-        for t, loss in enumerate(traj.loss_values):
-            err = traj.error_to_target[t] if traj.error_to_target else ""
-            ratio = ratios[t - 1] if 1 <= t <= len(ratios) else ""
-            w.writerow([t, _fmt(loss), _fmt(err), _fmt(ratio)])
-
-
-def _fmt(v):
-    return repr(float(v)) if v != "" else ""
-
-
 def _check_eps(eps):
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
@@ -193,12 +176,10 @@ def _solve_group(kind, ops, ys, link, decoder, cfg, seeds, targets,
 
     Trial t has its own operator ops[t], measurements ys[t], error target
     targets[t] (or None) and seed seeds[t], which stands in for cfg.seed.
-    The link is used by pgd_nlasso only. Each trial's result matches its
-    own solve to round-off: the trials share only the batched latent
-    descents, whose rows never mix.
+    The link is used by pgd_nlasso only, and its callers check that it is
+    differentiable. Each trial's result matches its own solve to round-off:
+    the trials share only the batched latent descents, whose rows never mix.
     """
-    if kind == "pgd_nlasso":
-        _require_differentiable(link)
     if not ops:
         return []
     ys = [_check_measurements(op, y) for op, y in zip(ops, ys)]

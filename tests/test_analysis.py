@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from genprior import analysis, genmodel, measurement, sensing, solvers
+from genprior import analysis, cli, genmodel, measurement, sensing, solvers
 from genprior.errors import InsufficientDataError, UnsupportedOperationError
 from genprior.projection import ProjectionConfig
 from genprior.solvers import SolverConfig, Trajectory
@@ -247,6 +247,16 @@ class TestTrials:
         with pytest.raises(ValueError, match=message):
             replace(tiny_noiseless_setup(), **change)
 
+    # one rule and one message whatever the observation mode, before any draw
+    @pytest.mark.parametrize("observation", analysis.OBSERVATIONS)
+    def test_nlasso_with_sign_link_rejected_at_construction(self,
+                                                            observation):
+        with pytest.raises(UnsupportedOperationError,
+                           match="^pgd_nlasso needs a differentiable link$"):
+            replace(tiny_noiseless_setup(), solver_kind="pgd_nlasso",
+                    link=measurement.sign_dithered_link(0.1),
+                    observation=observation)
+
 
 class TestRateExperiment:
     def test_noiseless_floor_and_shape(self):
@@ -351,7 +361,7 @@ class TestRateExperiment:
         table = analysis.rate_experiment([40, 80], 10, tiny_noiseless_setup(),
                                          seed=3)
         path = tmp_path / "rate.csv"
-        analysis.rate_table_to_csv(table, path)
+        cli._write_rate_csv(table, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n,trials,median_error,q25,q75,predicted,ratio"
         assert len(lines) == 3

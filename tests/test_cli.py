@@ -450,12 +450,40 @@ class TestCheck:
 
 
 class TestModel:
-    def test_new_default_k20_preset(self, capsys):
-        assert cli.main(["model", "new"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+    def test_new_default_k20_preset(self, tmp_path, capsys):
+        path = tmp_path / "dec.json"
+        assert cli.main(["model", "new", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
         assert doc["k"] == 20 and doc["p"] == 784
         assert doc["layer_dims"] == [500, 500]
-        assert doc["lipschitz_bound"] > 0
+        # L is computed from the weights, so the file does not carry it
+        assert "lipschitz_bound" not in doc
+        assert cli.main(["model", "info", str(path)]) == 0
+        assert float(capsys.readouterr().out.split("L=")[1]) > 0
+
+    # a model new file is a config's decoder section, and instance.json
+    # records it unchanged
+    @pytest.mark.parametrize("family, keys", [
+        ("mlp", {"family", "seed", "k", "p", "r", "activation", "layer_dims",
+                 "weight_scale"}),
+        ("orthonormal_linear", {"family", "seed", "k", "p", "r"}),
+        ("identity", {"family", "k", "r"})])
+    def test_new_file_is_a_config_decoder_section(self, tmp_path, capsys,
+                                                 family, keys):
+        path = tmp_path / "dec.json"
+        assert cli.main(["model", "new", "--family", family, "--k", "3",
+                         "--hidden", "6", "--p", "32", "--seed", "4",
+                         "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert set(doc) == keys
+        assert cli.main(["model", "info", str(path)]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, decoder=doc)
+        out = tmp_path / "run"
+        assert cli.main(["solve", "--config", str(cfg_path), "--out", str(out),
+                         "--quiet"]) == 0
+        assert json.loads((out / "instance.json").read_text())["decoder"] == doc
+        assert capsys.readouterr().err == ""
 
     def test_identity_family_reports_unit_lipschitz(self, tmp_path, capsys):
         path = tmp_path / "dec.json"
@@ -498,9 +526,11 @@ class TestModel:
 
     # sizes that a config's decoder section rejects are not truncated
     @pytest.mark.parametrize("field, message", [
-        ({"k": 2.5}, "k must be an integer, got 2.5"),
-        ({"layer_dims": "12"}, "a hidden dim must be an integer, got '1'"),
-        ({"layer_dims": [3.7]}, "a hidden dim must be an integer, got 3.7")])
+        ({"k": 2.5}, "decoder.k: expected an integer, got 2.5"),
+        ({"layer_dims": "12"},
+         'decoder.layer_dims: expected a list of integers, got "12"'),
+        ({"layer_dims": [3.7]},
+         "decoder.layer_dims: expected a list of integers, got [3.7]")])
     def test_info_rejects_non_integral_sizes(self, tmp_path, capsys, field,
                                              message):
         path = tmp_path / "dec.json"
@@ -509,6 +539,28 @@ class TestModel:
         assert cli.main(["model", "info", str(path)]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"config error: {path}: {message}\n")
+
+    # model info checks a file by the config's decoder rules; a file has no
+    # master seed, so a family that takes a seed needs it in the file
+    @pytest.mark.parametrize("doc, key", [
+        ({"family": "mlp", "k": 2, "p": 8, "r": 1.0, "seed": 0,
+          "layer_dim": [4]}, "layer_dim"),
+        ({"family": "mlp", "k": 2, "p": 8, "r": 1.0, "seed": True}, "seed"),
+        ({"family": "orthonormal_linear", "k": 2, "p": 8, "r": True,
+          "seed": 0}, "r"),
+        ({"family": "identity", "k": 2, "r": 1.0, "p": 99,
+          "weight_scale": -4}, "p"),
+        ({"family": "mlp", "k": 2, "p": 8, "r": 1.0, "layer_dims": [4]},
+         "seed")])
+    def test_info_applies_the_config_decoder_rules(self, tmp_path, capsys,
+                                                   doc, key):
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["model", "info", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: {path}: decoder.{key}: ")
+        assert err.count("\n") == 1
 
     def test_info_on_mistyped_field(self, tmp_path, capsys):
         path = tmp_path / "dec.json"

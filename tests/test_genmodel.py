@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from genprior import genmodel
+from genprior import cli, genmodel
 
 
 def straight_line_forward(dec, z):
@@ -70,11 +72,9 @@ class TestConstruction:
         layers = ((np.ones((3, 2)), np.zeros(3)), (np.ones((5, 3)), np.zeros(5)))
         dec = genmodel.GenerativeDecoder(2, 5, 1.0, layers, "relu", 0, 1.0)
         assert dec.hidden_dims == (3,)
-        assert genmodel.decoder_to_json(dec)["layer_dims"] == [3]
         single = genmodel.GenerativeDecoder(
             2, 5, 1.0, ((np.ones((5, 2)), np.zeros(5)),), "identity", 0, 1.0)
         assert single.hidden_dims == ()
-        assert genmodel.decoder_to_json(single)["layer_dims"] == []
         for key, value in (("hidden_dims", (7,)), ("lipschitz", 0.0)):
             with pytest.raises(TypeError):
                 genmodel.GenerativeDecoder(2, 5, 1.0, single.layers, "identity",
@@ -227,21 +227,33 @@ class TestSampleLatent:
         assert np.linalg.norm(zs.mean(axis=0)) <= 0.05
 
 
+def model_new(capsys, *flags):
+    """The decoder document that `genprior model new` prints for flags."""
+    assert cli.main(["model", "new", *flags]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestSerialization:
-    def test_round_trip(self):
+    # decoder documents are written and read by the CLI; weights regenerate
+    # from the seed
+    def test_round_trip(self, capsys):
         dec = genmodel.decoder_new(21, 5, [9, 7], 16, 2.0, "relu", 0.7)
-        doc = genmodel.decoder_to_json(dec)
-        back = genmodel.decoder_from_json(doc)
+        doc = model_new(capsys, "--seed", "21", "--k", "5", "--hidden", "9,7",
+                        "--p", "16", "--r", "2.0", "--activation", "relu",
+                        "--scale", "0.7")
+        back = cli._decoder(doc)
         for (wa, ba), (wb, bb) in zip(dec.layers, back.layers):
             assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
         assert back.activation == "relu"
         assert back.lipschitz == dec.lipschitz
 
-    def test_orthonormal_round_trip(self):
+    def test_orthonormal_round_trip(self, capsys):
         dec = genmodel.orthonormal_linear_decoder(5, 3, 10, 1.5)
-        back = genmodel.decoder_from_json(genmodel.decoder_to_json(dec))
+        back = cli._decoder(model_new(
+            capsys, "--family", "orthonormal_linear", "--seed", "5", "--k", "3",
+            "--p", "10", "--r", "1.5"))
         assert np.array_equal(dec.layers[0][0], back.layers[0][0])
 
-    def test_weights_not_stored(self):
-        doc = genmodel.decoder_to_json(genmodel.decoder_new(0, 2, [3], 4, 1.0))
+    def test_weights_not_stored(self, capsys):
+        doc = model_new(capsys, "--k", "2", "--hidden", "3", "--p", "4")
         assert "layers" not in doc and "weights" not in doc

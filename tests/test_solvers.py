@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from genprior import analysis, genmodel, measurement, sensing, solvers
+from genprior import analysis, cli, genmodel, measurement, sensing, solvers
 from genprior.errors import UnsupportedOperationError
 from genprior.projection import ProjectionConfig
 from genprior.solvers import SolverConfig
@@ -316,7 +316,7 @@ class TestTrajectoryCsv:
         cfg = exact_proj_config(1.0, 4, seed=0)
         _, traj = solvers.pgd_glasso(op, obs.y_tilde, dec, cfg, target=x_star)
         path = tmp_path / "traj.csv"
-        solvers.trajectory_to_csv(traj, path)
+        cli._write_trajectory_csv(traj, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,loss,error,ratio"
         assert len(lines) == 6
