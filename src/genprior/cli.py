@@ -87,6 +87,11 @@ SCHEMA = {
                    "delta": _Key(NUM), "grid": _Key(INTS),
                    "trials": _Key(INT)},
 }
+# The decoder keys model new has flags for, with the values of its preset,
+# and the flags not named after their key.
+MODEL_PRESET = {"seed": 0, "k": 20, "layer_dims": "500,500", "p": 784,
+                "r": 3.0, "activation": "tanh", "weight_scale": 1.0}
+MODEL_FLAGS = {"layer_dims": "--hidden", "weight_scale": "--scale"}
 # The genmodel factory of each decoder family. Its parameters are the
 # family's keys in SCHEMA, with layer_dims passed as hidden_dims.
 FACTORIES = {"mlp": "decoder_new",
@@ -132,18 +137,20 @@ def _build_parser():
 
     model = sub.add_parser("model", help="create or describe decoder JSON")
     msub = model.add_subparsers(dest="model_command", required=True)
-    mnew = msub.add_parser("new")
+    # a decoder flag that is not given is absent from args, and
+    # cmd_model_new fills in its MODEL_PRESET value
+    mnew = msub.add_parser("new", argument_default=argparse.SUPPRESS)
     mnew.add_argument("--out", default=None, help="output path (default stdout)")
-    mnew.add_argument("--k", type=int, default=20)
-    mnew.add_argument("--hidden", default="500,500",
+    mnew.add_argument("--k", type=int)
+    mnew.add_argument("--hidden", dest="layer_dims", metavar="DIMS",
                       help="comma-separated hidden dims, empty for linear")
-    mnew.add_argument("--p", type=int, default=784)
-    mnew.add_argument("--r", type=float, default=3.0)
-    mnew.add_argument("--activation", default="tanh",
-                      choices=genmodel.ACTIVATIONS)
-    mnew.add_argument("--scale", type=float, default=1.0)
+    mnew.add_argument("--p", type=int)
+    mnew.add_argument("--r", type=float)
+    mnew.add_argument("--activation", choices=genmodel.ACTIVATIONS)
+    mnew.add_argument("--scale", dest="weight_scale", metavar="SCALE",
+                      type=float)
     mnew.add_argument("--family", default="mlp", choices=SCHEMA["decoder"][2])
-    mnew.add_argument("--seed", type=int, default=0)
+    mnew.add_argument("--seed", type=int)
     mnew.set_defaults(func=cmd_model_new)
     minfo = msub.add_parser("info")
     minfo.add_argument("path")
@@ -317,13 +324,19 @@ def _run_suite(suite, seed, n_override):
 # ----------------------------------------------------------------- model
 
 def cmd_model_new(args):
+    keys = SCHEMA["decoder"][2][args.family]
+    given = {key: getattr(args, key) for key in MODEL_PRESET
+             if hasattr(args, key)}
+    for key in given:
+        if key not in keys:
+            raise ConfigError(f"{MODEL_FLAGS.get(key, '--' + key)}: not read "
+                              f"by the {args.family} family")
+    doc = {**MODEL_PRESET, **given}
     with _reported("--hidden"):
-        hidden = [int(h) for h in args.hidden.split(",") if h.strip()]
+        doc["layer_dims"] = [int(h) for h in doc["layer_dims"].split(",")
+                             if h.strip()]
     with _reported("model new"):
-        dec = _decoder({
-            "family": args.family, "seed": args.seed, "k": args.k,
-            "layer_dims": hidden, "p": args.p, "r": args.r,
-            "activation": args.activation, "weight_scale": args.scale})
+        dec = _decoder({"family": args.family, **doc})
     text = json.dumps(_decoder_section(dec), sort_keys=True, indent=2) + "\n"
     if args.out:
         with _reported("--out", OSError), open(args.out, "w") as fh:

@@ -55,13 +55,14 @@ def project(decoder, x, cfg, seed, warm_start=None):
     x = np.asarray(x, dtype=float)
     if x.shape != (decoder.ambient_dim,):
         raise ValueError(f"expected ambient vector of length {decoder.ambient_dim}")
-    return _project_rows(decoder, x[None], cfg, [seed], [warm_start])[0]
+    return _project_rows(decoder, x[None], cfg, [seed], [warm_start])[0][0]
 
 
 def _project_rows(decoder, x, cfg, seeds, warm_starts):
     """``project`` of every row of x, (T, p), each with its own seed and
     warm start. The T * cfg.restarts descents advance as one batch, and
-    each target keeps the best of its own restarts."""
+    each target keeps the best of its own restarts. Returns the results and
+    the end latent of every descent, (T * cfg.restarts, k)."""
     targets = x[_owners(len(x), cfg.restarts)]
 
     def objective(fz, rows):
@@ -77,17 +78,19 @@ def _project_rows(decoder, x, cfg, seeds, warm_starts):
         out.append(ProjectionResult(z[i], x_hat,
                                     float(np.linalg.norm(x_hat - x[t])),
                                     int(i - t * cfg.restarts), int(oob[i])))
-    return out
+    return out, z
 
 
 def _start_latents(decoder, cfg, seed, label, warm_start):
     """Initial latent of every restart, one per row, clipped to the ball. A
-    warm start is restart 0; restart i otherwise draws a standard Gaussian
-    from derive_seed(seed, label, i)."""
+    warm start is one latent, restart 0's, or a (restarts, k) block, one per
+    restart; a restart without one draws a standard Gaussian from
+    derive_seed(seed, label, i)."""
+    warm = [] if warm_start is None else np.atleast_2d(warm_start)
     rows = []
     for i in range(cfg.restarts):
-        if i == 0 and warm_start is not None:
-            z = np.asarray(warm_start, dtype=float)
+        if i < len(warm):
+            z = np.asarray(warm[i], dtype=float)
         else:
             rng = np.random.default_rng(derive_seed(seed, label, i))
             z = rng.standard_normal(decoder.latent_dim)

@@ -207,7 +207,8 @@ def _fit(op, y, link, x):
 def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
     """PGD on the rows of X, (T, p): row t takes its loss and gradient from
     trial t's own operator and measurements, and all T projections of an
-    iteration run as one latent batch."""
+    iteration run as one latent batch. Each restart is a chain: from the
+    second iteration on, it starts where it ended at the one before."""
     x = np.array([_initial_point(decoder, cfg, s) for s in seeds])
     trajs = [Trajectory() for _ in seeds]
     z_warm = [None] * len(seeds)
@@ -218,11 +219,11 @@ def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
         if t == cfg.iterations:
             break
         v = x - cfg.step_size * np.array([g for _, g in fits])
-        pres = projection._project_rows(
+        pres, z_end = projection._project_rows(
             decoder, v, cfg.projection,
             [derive_seed(s, "project", t) for s in seeds], z_warm)
         x = np.array([r.x_hat for r in pres])
-        z_warm = [r.z_hat for r in pres]
+        z_warm = z_end.reshape(len(seeds), cfg.projection.restarts, -1)
     return list(zip(x, trajs))
 
 

@@ -471,8 +471,10 @@ class TestModel:
     def test_new_file_is_a_config_decoder_section(self, tmp_path, capsys,
                                                  family, keys):
         path = tmp_path / "dec.json"
-        assert cli.main(["model", "new", "--family", family, "--k", "3",
-                         "--hidden", "6", "--p", "32", "--seed", "4",
+        flags = {"k": ["--k", "3"], "layer_dims": ["--hidden", "6"],
+                 "p": ["--p", "32"], "seed": ["--seed", "4"]}
+        argv = [a for key, pair in flags.items() if key in keys for a in pair]
+        assert cli.main(["model", "new", "--family", family, *argv,
                          "--out", str(path)]) == 0
         doc = json.loads(path.read_text())
         assert set(doc) == keys
@@ -509,6 +511,20 @@ class TestModel:
         (["--family", "identity", "--r", "-1"],
          "config error: model new: r must be finite"),
         (["--hidden", "a"], "config error: --hidden:"),
+        # a flag the family does not read is named, not dropped
+        (["--family", "identity", "--k", "4", "--hidden", "8,6", "--p", "16"],
+         "config error: --hidden: not read by the identity family"),
+        (["--family", "identity", "--p", "16"],
+         "config error: --p: not read by the identity family"),
+        (["--family", "identity", "--seed", "3"],
+         "config error: --seed: not read by the identity family"),
+        (["--family", "orthonormal_linear", "--hidden", ""],
+         "config error: --hidden: not read by the orthonormal_linear family"),
+        (["--family", "orthonormal_linear", "--activation", "relu"],
+         "config error: --activation: not read by the orthonormal_linear "
+         "family"),
+        (["--family", "orthonormal_linear", "--scale", "1.0"],
+         "config error: --scale: not read by the orthonormal_linear family"),
     ])
     def test_new_bad_flag(self, capsys, argv, prefix):
         assert cli.main(["model", "new", *argv]) == 2

@@ -97,7 +97,8 @@ def test_result_stays_in_ball(seed, k, activation, restarts, scale, warm):
     x = scale * rng.standard_normal((2, dec.ambient_dim))
     warms = [scale * rng.standard_normal(k) if warm else None, None]
     cfg = ProjectionConfig(restarts=restarts)
-    for res in projection._project_rows(dec, x, cfg, [seed, seed + 1], warms):
+    for res in projection._project_rows(dec, x, cfg, [seed, seed + 1],
+                                        warms)[0]:
         assert np.linalg.norm(res.z_hat) <= dec.latent_radius + 1e-12
 
 
@@ -107,7 +108,7 @@ def test_nan_target_row_freezes_and_leaves_the_others_alone():
     x = rng.standard_normal((3, dec.ambient_dim))
     x[1] = np.nan
     cfg = ProjectionConfig(restarts=2)
-    got = projection._project_rows(dec, x, cfg, [4, 5, 6], [None] * 3)
+    got = projection._project_rows(dec, x, cfg, [4, 5, 6], [None] * 3)[0]
     start = projection._start_latents(dec, cfg, 5, "restart", None)
     assert np.array_equal(got[1].z_hat, start[0])
     assert got[1].out_of_ball_steps == 0 and np.isnan(got[1].residual)

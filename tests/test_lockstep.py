@@ -27,10 +27,11 @@ KINDS = (("pgd_glasso", "sim", 1.0), ("pgd_nlasso", "known", 0.2),
 SENSING_KINDS = ("dense_gaussian", "partial_circulant")
 
 
-def short_setup(kind, observation, step, sensing_kind):
+def short_setup(kind, observation, step, sensing_kind, restarts=2):
     dec = genmodel.decoder_new(31, 3, [12], 20, 1.5, "tanh", 1.0)
     cfg = SolverConfig(step_size=step, iterations=3, x0_mode="zero",
-                       projection=ProjectionConfig(steps=15, restarts=2))
+                       projection=ProjectionConfig(steps=15,
+                                                   restarts=restarts))
     return analysis.TrialSetup(
         decoder=dec, link=measurement.shifted_cosine_link(sigma=0.1),
         solver_kind=kind, solver_cfg=cfg, sensing_kind=sensing_kind,
@@ -49,10 +50,18 @@ def assert_matches_solo(got, solo):
         assert a == b or abs(a - b) <= TOL, (field, a, b)
 
 
-@pytest.mark.parametrize("kind,observation,step", KINDS)
+# KINDS at two restarts, and one PGD kind whose three restart chains each
+# carry their own latent from one iteration to the next
+GROUP_CASES = [pytest.param(*case, 2, id="-".join(map(str, case)))
+               for case in KINDS] + [
+    pytest.param("pgd_nlasso", "known", 0.2, 3, id="pgd_nlasso-restarts3")]
+
+
+@pytest.mark.parametrize("kind,observation,step,restarts", GROUP_CASES)
 @pytest.mark.parametrize("sensing_kind", SENSING_KINDS)
-def test_group_matches_solo_solves(kind, observation, step, sensing_kind):
-    setup = short_setup(kind, observation, step, sensing_kind)
+def test_group_matches_solo_solves(kind, observation, step, restarts,
+                                   sensing_kind):
+    setup = short_setup(kind, observation, step, sensing_kind, restarts)
     seeds = [derive_seed(4, "lockstep", i) for i in range(4)]
     solo = [analysis.solve_instance(setup, 12, s) for s in seeds]
     for size in (1, 2, 3, 4):
@@ -168,7 +177,7 @@ def test_batched_projection_stays_in_ball(targets, k, restarts, scale, seed):
     x = scale * rng.standard_normal((targets, dec.ambient_dim))
     warm = [scale * rng.standard_normal(k) if t % 2 else None
             for t in range(targets)]
-    out = projection._project_rows(dec, x, cfg, list(range(targets)), warm)
+    out = projection._project_rows(dec, x, cfg, list(range(targets)), warm)[0]
     assert len(out) == targets
     for res in out:
         assert np.linalg.norm(res.z_hat) <= dec.latent_radius * (1 + 1e-12)

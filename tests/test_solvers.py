@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from genprior import analysis, cli, genmodel, measurement, sensing, solvers
+from genprior import (analysis, cli, genmodel, measurement, projection,
+                      sensing, solvers)
 from genprior.errors import UnsupportedOperationError
 from genprior.projection import ProjectionConfig
+from genprior.seeding import derive_seed
 from genprior.solvers import SolverConfig
 
 
@@ -245,6 +247,68 @@ def test_one_operator_product_per_iterate(monkeypatch, kind):
         cfg = exact_proj_config(0.2, iterations, seed=0)
         getattr(solvers, kind)(op, obs.y_tilde, *links, dec, cfg)
         assert len(calls) == iterations + 1
+
+
+class TestRestartChains:
+    """Every restart of a PGD projection is a chain: the first iteration
+    draws its starts from the seed, and each later one starts restart i
+    where restart i ended. A public warm start replaces restart 0 only."""
+
+    dec = genmodel.decoder_new(31, 3, [12], 20, 1.5, "tanh", 1.0)
+    pcfg = ProjectionConfig(steps=15, restarts=3)
+
+    def spy(self, monkeypatch):
+        starts, ends = [], []
+        descend = projection._descend
+
+        def spy_descend(decoder, cfg, z, *args):
+            starts.append(z.copy())
+            out = descend(decoder, cfg, z, *args)
+            ends.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(projection, "_descend", spy_descend)
+        return starts, ends
+
+    @staticmethod
+    def clip(z):  # onto the ball of radius 1.5
+        return z * (1.5 / max(np.linalg.norm(z), 1.5))
+
+    def drawn(self, seed, label, i):
+        rng = np.random.default_rng(derive_seed(seed, label, i))
+        return self.clip(rng.standard_normal(3))
+
+    # at scale 50 the ends lie on the ball, where each start is clipped again
+    @pytest.mark.parametrize("scale", [1.0, 50.0])
+    def test_pgd_restart_starts_where_it_ended(self, monkeypatch, scale):
+        starts, ends = self.spy(monkeypatch)
+        op = sensing.sensing_new("dense_gaussian", 12, 20, 5)
+        y = scale * np.random.default_rng(1).standard_normal(12)
+        cfg = SolverConfig(step_size=1.0, iterations=5, seed=7,
+                           projection=self.pcfg)
+        solvers.pgd_glasso(op, y, self.dec, cfg)
+        assert len(starts) == 5
+        first = derive_seed(7, "project", 0)
+        assert np.array_equal(starts[0], [self.drawn(first, "restart", i)
+                                          for i in range(3)])
+        for end, start in zip(ends, starts[1:]):
+            assert np.array_equal(start, [self.clip(row) for row in end])
+        if scale == 1.0:
+            assert all(np.array_equal(s, e) for e, s in zip(ends, starts[1:]))
+
+    def test_public_warm_start_is_restart_zero_only(self, monkeypatch):
+        starts, _ = self.spy(monkeypatch)
+        z = np.array([0.3, -0.2, 0.1])
+        x = np.random.default_rng(2).standard_normal(20)
+        projection.project(self.dec, x, self.pcfg, seed=9, warm_start=z)
+        op = sensing.sensing_new("dense_gaussian", 12, 20, 5)
+        cfg = SolverConfig(step_size=1.0, iterations=1, seed=9,
+                           projection=self.pcfg)
+        solvers.csgm_baseline(op, x[:12], self.dec, cfg, warm_start=z)
+        for start, label in zip(starts, ("restart", "csgm-restart")):
+            assert np.array_equal(start[0], z)
+            assert np.array_equal(start[1:], [self.drawn(9, label, i)
+                                              for i in (1, 2)])
 
 
 class TestCsgm:
