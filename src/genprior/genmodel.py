@@ -65,7 +65,14 @@ class GenerativeDecoder:
             raise ValueError("last layer output dim != ambient dim")
         object.__setattr__(self, "hidden_dims", tuple(dims[1:-1]))
         object.__setattr__(self, "lipschitz", float(math.prod(
-            np.linalg.norm(w, 2) for w, _ in self.layers)))
+            _spectral_norm(w) for w, _ in self.layers)))
+
+
+def _spectral_norm(w):
+    """Largest singular value of w, exactly: the root of the top eigenvalue
+    of the smaller of the Gram matrices w^T w and w w^T."""
+    gram = w.T @ w if w.shape[0] >= w.shape[1] else w @ w.T
+    return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
 
 def _check_dims(k, p, r):

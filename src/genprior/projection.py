@@ -9,6 +9,7 @@ projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,39 +59,39 @@ def project(decoder, x, cfg, seed, warm_start=None):
     return _project_rows(decoder, x[None], cfg, [seed], [warm_start])[0][0]
 
 
-def _project_rows(decoder, x, cfg, seeds, warm_starts):
+def _project_rows(decoder, x, cfg, seeds, warm_starts, chains=None):
     """``project`` of every row of x, (T, p), each with its own seed and
     warm start. The T * cfg.restarts descents advance as one batch, and
-    each target keeps the best of its own restarts. Returns the results and
-    the end latent of every descent, (T * cfg.restarts, k)."""
+    each target keeps the best of its own restarts. Given ``chains``, the
+    end ``_Points`` of an earlier call on T targets, each descent starts
+    where that one ended instead, and seeds and warm starts go unread.
+    Returns the results and the end ``_Points`` of every descent."""
     targets = x[_owners(len(x), cfg.restarts)]
 
     def objective(fz, rows):
         d = fz - targets[rows]
         return 0.5 * np.add.reduce(d * d, 1), d
 
-    z0 = np.concatenate([_start_latents(decoder, cfg, s, "restart", w)
-                         for s, w in zip(seeds, warm_starts)])
-    z, res, oob = _descend(decoder, cfg, z0, objective)
-    out = []
-    for t, i in enumerate(_best_rows(res, cfg.restarts)):
-        x_hat = genmodel.forward(decoder, z[i])
-        out.append(ProjectionResult(z[i], x_hat,
-                                    float(np.linalg.norm(x_hat - x[t])),
-                                    int(i - t * cfg.restarts), int(oob[i])))
-    return out, z
+    if chains is None:
+        chains = np.concatenate([_start_latents(decoder, cfg, s, "restart", w)
+                                 for s, w in zip(seeds, warm_starts)])
+    ends, res, oob = _descend(decoder, cfg, chains, objective)
+    best = _best_rows(res, cfg.restarts)
+    z_hat, x_hat = ends.z[best], ends.fz[best]  # copies: descents move ends
+    return [ProjectionResult(z_hat[t], x_hat[t],
+                             float(np.linalg.norm(x_hat[t] - x[t])),
+                             int(i - t * cfg.restarts), int(oob[i]))
+            for t, i in enumerate(best)], ends
 
 
 def _start_latents(decoder, cfg, seed, label, warm_start):
-    """Initial latent of every restart, one per row, clipped to the ball. A
-    warm start is one latent, restart 0's, or a (restarts, k) block, one per
-    restart; a restart without one draws a standard Gaussian from
-    derive_seed(seed, label, i)."""
-    warm = [] if warm_start is None else np.atleast_2d(warm_start)
+    """Initial latent of every restart, one per row, clipped to the ball:
+    the warm start, when given, for restart 0, and a standard Gaussian
+    drawn from derive_seed(seed, label, i) for each other restart i."""
     rows = []
     for i in range(cfg.restarts):
-        if i < len(warm):
-            z = np.asarray(warm[i], dtype=float)
+        if i == 0 and warm_start is not None:
+            z = np.asarray(warm_start, dtype=float)
         else:
             rng = np.random.default_rng(derive_seed(seed, label, i))
             z = rng.standard_normal(decoder.latent_dim)
@@ -98,9 +99,25 @@ def _start_latents(decoder, cfg, seed, label, warm_start):
     return np.array(rows)
 
 
-def _descend(decoder, cfg, z, objective, metric=None, record=None):
-    """Damped Gauss-Newton (Levenberg-Marquardt) descent of every row of z,
-    (B, k), as one batch, each step clipped to the latent ball.
+class _Points(NamedTuple):
+    """Descent rows at their current points: the latents z, (B, k), their
+    decoder outputs fz, (B, p), and hidden activations, and the Jacobians'
+    transposes jt, (B, k, p), in the layout ``_jacobian_cached`` builds, of
+    the rows where has_jt is set."""
+    z: np.ndarray
+    fz: np.ndarray
+    hidden: list
+    jt: np.ndarray
+    has_jt: np.ndarray
+
+
+def _descend(decoder, cfg, start, objective, metric=None, record=None):
+    """Damped Gauss-Newton (Levenberg-Marquardt) descent of every row of
+    ``start`` as one batch, each step clipped to the latent ball. ``start``
+    is a (B, k) array of latents, or the end ``_Points`` of an earlier
+    descent of B rows, which each row then leaves from where it ended: its
+    latent is neither decoded nor, where the earlier descent took its
+    Jacobian, differentiated again, and the points are moved in place.
 
     ``objective(fz, rows)`` maps the decoder outputs of batch rows ``rows``
     to their values and output-space gradients; ``metric(jac, rows)`` is the
@@ -114,29 +131,41 @@ def _descend(decoder, cfg, z, objective, metric=None, record=None):
     of its norm (an exact fit, where the value is round-off); a non-finite
     row never starts. ``record(rows, fz, values)`` sees every iterate: the
     start and each accepted step.
-    Returns per row its last iterate (values never rise, so it is the best
-    seen), its value, and the number of steps whose raw update left the
-    ball.
+    Returns the ``_Points`` of every row's last iterate (values never rise,
+    so it is the best seen), its value, and the number of steps whose raw
+    update left the ball.
     """
     r, k = decoder.latent_radius, decoder.latent_dim
-    every = np.arange(len(z))
+    at = start
+    if not isinstance(at, _Points):  # decoded, with no Jacobian yet
+        fz, hidden = genmodel._forward_cached(decoder, start)
+        at = _Points(start.copy(), fz, hidden,
+                     np.empty(start.shape + (decoder.ambient_dim,)),
+                     np.zeros(len(start), dtype=bool))
+    every = np.arange(len(at.z))
     note = record or (lambda rows, fz, val: None)
-    fz, hidden = genmodel._forward_cached(decoder, z)
-    val, g = objective(fz, every)
-    note(every, fz, val)
-    end = z.copy()
-    lam, oob = np.zeros(len(z)), np.zeros(len(z), dtype=int)
-    w, b, vec = np.zeros(z.shape), np.zeros(z.shape), np.zeros(z.shape + (k,))
+    val, g = objective(at.fz, every)
+    note(every, at.fz, val)
+    lam, oob = np.zeros(len(every)), np.zeros(len(every), dtype=int)
+    shape = at.z.shape
+    w, b, vec = np.zeros(shape), np.zeros(shape), np.zeros(shape + (k,))
 
-    def refresh(at, sel, z, hs, g):  # eigen-pairs of M, J^T g in their basis
-        jac = genmodel._jacobian_cached(decoder, z[sel], [h[sel] for h in hs])
-        w[at], vec[at] = np.linalg.eigh(np.swapaxes(jac, 1, 2) @ jac
-                                        if metric is None else metric(jac, at))
-        b[at] = ((g[sel][:, None, :] @ jac) @ vec[at])[:, 0]
+    def refresh(rows, g):  # eigen-pairs of M at rows, J^T g in their basis
+        new = rows[~at.has_jt[rows]]
+        if len(new):
+            jac = genmodel._jacobian_cached(decoder, at.z[new],
+                                            [h[new] for h in at.hidden])
+            at.jt[new], at.has_jt[new] = np.swapaxes(jac, 1, 2), True
+        if len(new) < len(rows):  # some carried over: read all from store
+            jac = np.swapaxes(at.jt[rows], 1, 2)
+        w[rows], vec[rows] = np.linalg.eigh(np.swapaxes(jac, 1, 2) @ jac
+                                            if metric is None
+                                            else metric(jac, rows))
+        b[rows] = ((g[:, None, :] @ jac) @ vec[rows])[:, 0]
 
     rows = np.flatnonzero(np.isfinite(val))
     if len(rows):
-        refresh(rows, rows, end, hidden, g)
+        refresh(rows, g[rows])
     for _ in range(cfg.steps):
         if not len(rows):
             break
@@ -144,7 +173,7 @@ def _descend(decoder, cfg, z, objective, metric=None, record=None):
         den = wr + (lam[rows] * wr.sum(1) / k)[:, None]
         ok = den > 1e-12 * wr.max(1, keepdims=True)
         coef = np.where(ok, b[rows] / np.where(ok, den, 1.0), 0.0)
-        zr, step = end[rows], (vec[rows] @ coef[:, :, None])[:, :, 0]
+        zr, step = at.z[rows], (vec[rows] @ coef[:, :, None])[:, :, 0]
         trial = zr - step
         nrm = np.sqrt(np.add.reduce(trial * trial, 1))
         oob[rows] += nrm > r
@@ -156,12 +185,16 @@ def _descend(decoder, cfg, z, objective, metric=None, record=None):
                 | (np.vecdot(step, step) <= 1e-16 * np.vecdot(zr, zr)))
         lam[rows] = np.where(acc, lam[rows] / 10,
                              np.maximum(lam[rows] * 10, 1e-3))
-        end[rows[acc]], val[rows[acc]] = trial[acc], new[acc]
-        note(rows[acc], fz[acc], new[acc])
+        moved = rows[acc]
+        at.z[moved], at.fz[moved], val[moved] = trial[acc], fz[acc], new[acc]
+        for h, h_new in zip(at.hidden, hid):
+            h[moved] = h_new[acc]
+        at.has_jt[moved] = False
+        note(moved, fz[acc], new[acc])
         if (acc & ~stop).any():
-            refresh(rows[acc & ~stop], acc & ~stop, trial, hid, g)
+            refresh(rows[acc & ~stop], g[acc & ~stop])
         rows = rows[~stop]
-    return end, val, oob
+    return at, val, oob
 
 
 def _owners(targets, restarts):

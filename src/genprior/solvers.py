@@ -208,10 +208,13 @@ def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
     """PGD on the rows of X, (T, p): row t takes its loss and gradient from
     trial t's own operator and measurements, and all T projections of an
     iteration run as one latent batch. Each restart is a chain: from the
-    second iteration on, it starts where it ended at the one before."""
+    second iteration on, it starts where it ended at the one before, with
+    the decoder output (and Jacobian) it ended with. An iteration that
+    moves no iterate and no chain is a fixed point: every later one would
+    repeat it, so the trajectories repeat its record to the end instead."""
     x = np.array([_initial_point(decoder, cfg, s) for s in seeds])
     trajs = [Trajectory() for _ in seeds]
-    z_warm = [None] * len(seeds)
+    chains = None
     for t in range(cfg.iterations + 1):
         fits = [_fit(op, y, link, xt) for op, y, xt in zip(ops, ys, x)]
         for xt, traj, (loss, _), tgt in zip(x, trajs, fits, targets):
@@ -219,11 +222,19 @@ def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
         if t == cfg.iterations:
             break
         v = x - cfg.step_size * np.array([g for _, g in fits])
-        pres, z_end = projection._project_rows(
+        starts = None if chains is None else chains.z.copy()
+        pres, chains = projection._project_rows(
             decoder, v, cfg.projection,
-            [derive_seed(s, "project", t) for s in seeds], z_warm)
-        x = np.array([r.x_hat for r in pres])
-        z_warm = z_end.reshape(len(seeds), cfg.projection.restarts, -1)
+            [derive_seed(s, "project", t) for s in seeds], [None] * len(v),
+            chains)
+        x_next = np.array([r.x_hat for r in pres])
+        if (starts is not None and np.array_equal(x_next, x)
+                and np.array_equal(chains.z, starts)):
+            for traj in trajs:
+                for series in (traj.loss_values, traj.error_to_target):
+                    series.extend(series[-1:] * (cfg.iterations - t))
+            break
+        x = x_next
     return list(zip(x, trajs))
 
 
@@ -252,9 +263,9 @@ def _csgm_group(ops, ys, decoder, cfg, seeds, targets, warm_starts):
         for i, xv, value in zip(rows, fz, loss):
             _record(trajs[i], xv, float(value), targets[owner[i]])
 
-    z, loss, _ = projection._descend(decoder, pcfg, z0, objective, metric,
-                                     record)
-    return [(genmodel.forward(decoder, z[i]), trajs[i])
+    ends, loss, _ = projection._descend(decoder, pcfg, z0, objective, metric,
+                                        record)
+    return [(ends.fz[i], trajs[i])
             for i in projection._best_rows(loss, pcfg.restarts)]
 
 

@@ -68,11 +68,14 @@ def test_batch_matches_rows_alone(fit, activation):
 
         for warm in (None, edge):
             z0 = projection._start_latents(dec, cfg, restarts, label, warm)
-            z, val, oob = projection._descend(dec, cfg, z0, objective, metric)
+            ends, val, oob = projection._descend(dec, cfg, z0, objective,
+                                                 metric)
+            z = ends.z
             for i, row in enumerate(z0):
-                zi, vi, oi = projection._descend(dec, cfg, row[None],
+                ei, vi, oi = projection._descend(dec, cfg, row[None],
                                                  objective, metric)
-                assert np.max(np.abs(z[i] - zi[0])) <= TOL
+                assert np.max(np.abs(z[i] - ei.z[0])) <= TOL
+                assert np.max(np.abs(ends.fz[i] - ei.fz[0])) <= TOL
                 assert abs(val[i] - vi[0]) <= TOL
                 assert oob[i] == oi[0]
             i = projection._first_min(val)
@@ -87,7 +90,7 @@ def test_batch_matches_rows_alone(fit, activation):
                                     seed=restarts)
                 x_hat, _ = solvers.csgm_baseline(*measured, dec, scfg,
                                                  warm_start=warm)
-                assert np.array_equal(x_hat, genmodel.forward(dec, z[i]))
+                assert np.array_equal(x_hat, ends.fz[i])
             oob_seen += oob.sum()
     assert oob_seen > 0
 
