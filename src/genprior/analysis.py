@@ -8,6 +8,7 @@ aggregates medians against the k log(L r / delta) / n scaling.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -52,7 +53,7 @@ FD_STEP = 1e-6  # central-difference step in ambient space
 VJP_STEP = 1e-5  # central-difference step in latent space
 N_CAP = 100_000  # largest measurement count of a solve or a rate grid point
 OPERATOR_BUDGET = 2 ** 19  # dense operator cells (4 MiB) of one trial group
-CHECK_BLOCK = 16  # range pairs decoded and measured per batch
+CHECK_CELLS = 2 ** 16  # floats of the points and measurements of a check block
 OBSERVATIONS = ("sim", "known", "auto")  # "auto" follows the solver kind
 
 
@@ -86,8 +87,26 @@ def cosine_similarity(a, b):
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
-def _range_blocks(decoder, seed, tags, pairs):
-    """Decoder range points of pairs 0..pairs-1, CHECK_BLOCK pairs at a time.
+def _block_len(cells):
+    """Rows of a check block: as many rows of ``cells`` floats as fit in
+    CHECK_CELLS, and at least one."""
+    return max(1, CHECK_CELLS // cells)
+
+
+def _rowwise(f, x, cells):
+    """f over consecutive blocks of _block_len(cells) rows of x, the values
+    concatenated: f maps a stack of m rows to m values."""
+    step = _block_len(cells)
+    out = np.empty(len(x))
+    for start in range(0, len(x), step):
+        out[start:start + step] = f(x[start:start + step])
+    return out
+
+
+def _range_blocks(decoder, seed, tags, pairs, n):
+    """Decoder range points of pairs 0..pairs-1, measured by an operator with
+    n rows, in blocks of pairs that hold at most CHECK_CELLS floats of range
+    points and measurements: ``len(tags) * (n + p)`` per pair.
 
     For each block of consecutive pair indices i, yields one (b, p) array per
     tag whose rows are G(z_i), where z_0, z_1, ... are a tag's
@@ -99,13 +118,18 @@ def _range_blocks(decoder, seed, tags, pairs):
     z = np.stack([genmodel._sample_latents(
         decoder, np.random.default_rng(derive_seed(seed, tag)), pairs, 1.0)
         for tag in tags])
-    for start in range(0, pairs, CHECK_BLOCK):
-        block = z[:, start:start + CHECK_BLOCK].reshape(-1, k)
+    step = _block_len(len(tags) * (n + decoder.ambient_dim))
+    for start in range(0, pairs, step):
+        block = z[:, start:start + step].reshape(-1, k)
         yield np.split(genmodel._forward_cached(decoder, block)[0], len(tags))
 
 
+def _sq_norms(x):
+    return np.vecdot(x, x)
+
+
 def _row_norms(x):
-    return np.sqrt(np.vecdot(x, x))
+    return np.sqrt(_sq_norms(x))
 
 
 def tsrec_check(op, decoder, eps, delta, pairs, seed):
@@ -122,7 +146,8 @@ def tsrec_check(op, decoder, eps, delta, pairs, seed):
         raise ValueError("delta must be nonnegative")
     violations = 0
     worst = 0.0
-    for x1, x2 in _range_blocks(decoder, seed, ("tsrec-a", "tsrec-b"), pairs):
+    for x1, x2 in _range_blocks(decoder, seed, ("tsrec-a", "tsrec-b"), pairs,
+                                op.n):
         d = x1 - x2
         nd = _row_norms(d)
         s = _row_norms(sensing.apply(op, d)) / np.sqrt(op.n)
@@ -146,17 +171,13 @@ def jle_check(op, points, eps):
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    violations = 0
-    worst = 0.0
-    for x in points:
-        nx2 = float(x @ x)
-        if nx2 == 0.0:
-            continue
-        s2 = float(np.sum(sensing.apply(op, x) ** 2)) / op.n
-        dev = abs(s2 / nx2 - 1.0)
-        worst = max(worst, dev)
-        if dev > eps:
-            violations += 1
+    nx2 = np.vecdot(points, points)
+    s2 = _rowwise(lambda x: _sq_norms(sensing.apply(op, x)), points,
+                  op.n + op.p) / op.n
+    keep = nx2 > 0.0
+    dev = np.abs(s2[keep] / nx2[keep] - 1.0)
+    violations = int(np.count_nonzero(dev > eps))
+    worst = float(np.max(dev, initial=0.0))
     return _finish_report("jle", len(points), violations, worst,
                           {"eps": eps, "n": op.n, "p": op.p,
                            "allowed_violations": 0})
@@ -174,7 +195,7 @@ def wnu_check(op, decoder, nu, eps, pairs, seed):
     violations = 0
     worst = math.inf
     tags = ("wnu-a", "wnu-b", "wnu-c", "wnu-d")
-    for xa, xb, xc, xd in _range_blocks(decoder, seed, tags, pairs):
+    for xa, xb, xc, xd in _range_blocks(decoder, seed, tags, pairs, op.n):
         x1 = xa - xb
         x2 = xc - xd
         wx1 = x1 - (nu / op.n) * sensing.adjoint_apply(op, sensing.apply(op, x1))
@@ -191,20 +212,19 @@ def polarization_check(op, pairs, seed):
     """x^T A^T A y must equal (||A(x+y)||^2 - ||A(x-y)||^2) / 4 up to
     POLARIZATION_TOL (relative); this is the algebraic identity behind the
     embedding bound."""
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = 0.0
-    for _ in range(pairs):
-        x = rng.standard_normal(op.p)
-        y = rng.standard_normal(op.p)
-        lhs = float(sensing.apply(op, x) @ sensing.apply(op, y))
-        plus = float(np.sum(sensing.apply(op, x + y) ** 2))
-        minus = float(np.sum(sensing.apply(op, x - y) ** 2))
-        rhs = (plus - minus) / 4.0
-        dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-        worst = max(worst, dev)
-        if dev > POLARIZATION_TOL:
-            violations += 1
+    def devs(xy):
+        x, y = xy[:, 0], xy[:, 1]
+        lhs = np.vecdot(sensing.apply(op, x), sensing.apply(op, y))
+        rhs = (_sq_norms(sensing.apply(op, x + y))
+               - _sq_norms(sensing.apply(op, x - y))) / 4.0
+        return np.abs(lhs - rhs) / np.maximum(
+            np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+
+    # x then y of each pair, in the stream order of one draw at a time
+    xy = np.random.default_rng(seed).standard_normal((pairs, 2, op.p))
+    dev = _rowwise(devs, xy, 4 * (op.n + op.p))
+    violations = int(np.count_nonzero(dev > POLARIZATION_TOL))
+    worst = float(np.max(dev, initial=0.0))
     return _finish_report("polarization", pairs, violations, worst,
                           {"tol": POLARIZATION_TOL, "n": op.n, "p": op.p,
                            "seed": seed, "allowed_violations": 0})
@@ -266,13 +286,13 @@ def gradient_check(op, link, decoder, points, seed):
     for _ in range(points):
         x = rng.standard_normal(op.p)
         dev = max(
-            _fd_dev(lambda u: solvers.loss_glasso(op, y, u),
+            _fd_dev(lambda u: _losses(op, y, None, u),
                     solvers.grad_glasso(op, y, x), x, FD_STEP),
-            _fd_dev(lambda u: solvers.loss_nlasso(op, y, link, u),
+            _fd_dev(lambda u: _losses(op, y, link, u),
                     solvers.grad_nlasso(op, y, link, x), x, FD_STEP))
         z = genmodel.sample_latent(decoder, rng.integers(2 ** 63))
         v = rng.standard_normal(decoder.ambient_dim)
-        vdev = _fd_dev(lambda u: genmodel.forward(decoder, u) @ v,
+        vdev = _fd_dev(lambda u: genmodel._forward_cached(decoder, u)[0] @ v,
                        genmodel.vjp(decoder, z, v), z, VJP_STEP)
         worst = max(worst, dev, vdev)
         if dev > GRADIENT_TOL or vdev > VJP_TOL:
@@ -282,17 +302,30 @@ def gradient_check(op, link, decoder, points, seed):
                            "p": op.p, "seed": seed, "allowed_violations": 0})
 
 
+def _losses(op, y, link, u):
+    """(1/2n) ||f(A u_i) - y||^2 for each row u_i of u, f the identity when
+    link is None: the loss of ``solvers.loss_glasso`` or ``loss_nlasso``."""
+    def block(rows):
+        t = sensing.apply(op, rows)
+        return _sq_norms((t if link is None else link_eval(link, t)) - y)
+    return _rowwise(block, u, op.n + op.p) / (2.0 * op.n)
+
+
+def _central_differences(f, x, h):
+    """Central differences with step h at x of a scalar function that f
+    evaluates at each row of a stack of points: all 2 len(x) points in one
+    call."""
+    steps = h * np.eye(len(x))
+    values = f(np.concatenate([x + steps, x - steps]))
+    return (values[:len(x)] - values[len(x):]) / (2 * h)
+
+
 def _fd_dev(f, grad, x, h):
-    """Worst per-coordinate relative deviation of the central differences of
-    the scalar function f at x from its analytic gradient grad; tiny
-    coordinates are floored so finite-difference roundoff cannot dominate
-    the ratio."""
-    fd = np.empty_like(x)
-    e = np.zeros_like(x)
-    for j in range(len(x)):
-        e[j] = h
-        fd[j] = (f(x + e) - f(x - e)) / (2 * h)
-        e[j] = 0.0
+    """Worst per-coordinate relative deviation of the central differences at
+    x of the function that f evaluates row-wise from its analytic gradient
+    grad; tiny coordinates are floored so finite-difference roundoff cannot
+    dominate the ratio."""
+    fd = _central_differences(f, x, h)
     denom = np.maximum(np.abs(grad), 1e-8)
     return float(np.max(np.abs(fd - grad) / denom))
 
@@ -538,15 +571,24 @@ def _split_trials(seeds, cells):
 
 
 def _run_trials_star(job):
-    """run_trials(*job) with one OpenBLAS thread, then the count as found:
-    OpenBLAS rounds differently at different thread counts, so a rate table
-    depends neither on ``threads`` nor on the host's BLAS thread count."""
+    """run_trials(*job) under ``_one_blas_thread``, so a rate table depends
+    neither on ``threads`` nor on the host's BLAS thread count."""
+    with _one_blas_thread():
+        return run_trials(*job)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS at one thread inside the block, and at the
+    count it had on leaving, also when the block raises. OpenBLAS rounds
+    differently at different thread counts, and forked workers that each
+    run several BLAS threads oversubscribe the cores."""
     blas = _openblas()
     before = [get() for get, _ in blas]
     for _, put in blas:
         put(1)
     try:
-        return run_trials(*job)
+        yield
     finally:
         for (_, put), count in zip(blas, before):
             put(count)

@@ -233,7 +233,9 @@ def cmd_check(args):
         bound = ">= 1" if args.n < 1 else f"<= {analysis.N_CAP}"
         raise ConfigError(f"check {args.suite}: --n must be {bound}, "
                           f"got {args.n}")
-    with _reported(f"check {args.suite}"):
+    # one BLAS thread, as in rate: the reports do not depend on the host's
+    # thread count
+    with _reported(f"check {args.suite}"), analysis._one_blas_thread():
         reports = _run_suite(args.suite, args.seed, args.n)
     passed = all(r.passed for r in reports)
     if args.json and not args.quiet:

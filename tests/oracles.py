@@ -104,6 +104,60 @@ def wnu_check(op, decoder, nu, eps, pairs, seed, slack):
     return violations, float(worst)
 
 
+def jle_check(op, points, eps):
+    """(violations, worst_margin) of ``analysis.jle_check``, one point at a
+    time through the single-vector operator."""
+    violations = 0
+    worst = 0.0
+    for x in np.atleast_2d(np.asarray(points, dtype=float)):
+        nx2 = float(x @ x)
+        if nx2 == 0.0:
+            continue
+        s2 = float(np.sum(sensing.apply(op, x) ** 2)) / op.n
+        dev = abs(s2 / nx2 - 1.0)
+        worst = max(worst, dev)
+        if dev > eps:
+            violations += 1
+    return violations, worst
+
+
+def polarization_pairs(op, pairs, seed):
+    """The (x, y) pairs of ``analysis.polarization_check``, drawn one vector
+    at a time."""
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal(op.p), rng.standard_normal(op.p))
+            for _ in range(pairs)]
+
+
+def polarization_check(op, pairs, seed, tol):
+    """(violations, worst_margin) of ``analysis.polarization_check``, one
+    pair at a time through the single-vector operator."""
+    violations = 0
+    worst = 0.0
+    for x, y in polarization_pairs(op, pairs, seed):
+        lhs = float(sensing.apply(op, x) @ sensing.apply(op, y))
+        plus = float(np.sum(sensing.apply(op, x + y) ** 2))
+        minus = float(np.sum(sensing.apply(op, x - y) ** 2))
+        rhs = (plus - minus) / 4.0
+        dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
+        worst = max(worst, dev)
+        if dev > tol:
+            violations += 1
+    return violations, worst
+
+
+def central_differences(f, x, h):
+    """Central differences with step h at x of the scalar function f, one
+    coordinate at a time; the oracle for ``analysis._central_differences``."""
+    fd = np.empty_like(x)
+    e = np.zeros_like(x)
+    for j in range(len(x)):
+        e[j] = h
+        fd[j] = (f(x + e) - f(x - e)) / (2 * h)
+        e[j] = 0.0
+    return fd
+
+
 def project_exact_linear(decoder, x):
     """Exact projection for a single-layer orthonormal-column decoder: the
     minimizer W^T x, radially clipped into the latent ball; the oracle for

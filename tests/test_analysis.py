@@ -194,19 +194,6 @@ class TestContractionFit:
             analysis.contraction_fit(Trajectory(), 1e-8)
 
 
-@pytest.fixture
-def two_blas_threads():
-    """Every loaded OpenBLAS set to two threads for the test, then restored;
-    yields their (get, set) pairs, empty where no OpenBLAS is loaded."""
-    blas = analysis._openblas()
-    before = [get() for get, _ in blas]
-    for _, set_threads in blas:
-        set_threads(2)
-    yield blas
-    for (_, set_threads), count in zip(blas, before):
-        set_threads(count)
-
-
 def tiny_noiseless_setup(seed=5):
     dec = genmodel.orthonormal_linear_decoder(seed, 3, 32, 3.0)
     link = measurement.linear_link()

@@ -1,13 +1,16 @@
-"""Block-streamed range-point checks against their one-point-at-a-time
-oracles, and the row-batched operator against per-row calls."""
+"""Row-batched checks against their one-point-at-a-time oracles, the memory
+budget of their blocks, and the row-batched operator against per-row
+calls."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from genprior import analysis, genmodel, sensing
+from genprior import analysis, genmodel, measurement, sensing, solvers
 from genprior.seeding import derive_seed
+
+U = np.finfo(float).eps / 2  # unit round-off
 
 
 def check_decoder():
@@ -50,7 +53,16 @@ def test_sample_latents_lie_in_the_ball_and_match_the_row_oracle(
 
 OPERATORS = [("dense_gaussian", 200), ("dense_gaussian", 3),
              ("partial_circulant", 48), ("partial_circulant", 3)]
+# one pair, a few short runs, and 1000 pairs: several blocks at every n here
 PAIRS = [1, 15, 16, 17, 1000]
+
+
+def block_bracket(cells):
+    """Counts one below, at and one above the first block boundary of the
+    dense n = 200 case, p = 64, for a check of ``cells * (n + p)`` floats
+    per pair or point."""
+    b = analysis._block_len(cells * (200 + 64))
+    return [b - 1, b, b + 1]
 
 
 def assert_matches(report, want):
@@ -60,7 +72,7 @@ def assert_matches(report, want):
 
 
 @pytest.mark.parametrize("kind,n", OPERATORS)
-@pytest.mark.parametrize("pairs", PAIRS)
+@pytest.mark.parametrize("pairs", PAIRS + block_bracket(2))
 def test_tsrec_matches_serial_oracle(kind, n, pairs):
     dec = check_decoder()
     op = sensing.sensing_new(kind, n, dec.ambient_dim, derive_seed(n, kind))
@@ -71,7 +83,7 @@ def test_tsrec_matches_serial_oracle(kind, n, pairs):
 
 
 @pytest.mark.parametrize("kind,n", OPERATORS)
-@pytest.mark.parametrize("pairs", PAIRS)
+@pytest.mark.parametrize("pairs", PAIRS + block_bracket(4))
 def test_wnu_matches_serial_oracle(kind, n, pairs):
     dec = check_decoder()
     op = sensing.sensing_new(kind, n, dec.ambient_dim, derive_seed(n, kind))
@@ -126,6 +138,184 @@ def test_zero_pairs():
     op = sensing.sensing_new("dense_gaussian", 10, dec.ambient_dim, 0)
     assert analysis.tsrec_check(op, dec, 0.5, 0.01, 0, 1).worst_margin == 0.0
     assert analysis.wnu_check(op, dec, 1.0, 0.3, 0, 1).worst_margin == np.inf
+
+
+@pytest.mark.parametrize("kind,n", OPERATORS)
+@pytest.mark.parametrize("count", [1, 100] + block_bracket(1))
+def test_jle_matches_serial_oracle(kind, n, count):
+    # a zero row is skipped by both; n = 3 has violations to compare
+    p = 64
+    op = sensing.sensing_new(kind, n, p, derive_seed(n, kind))
+    points = np.random.default_rng(count).standard_normal((count, p))
+    points[count // 2] = 0.0
+    report = analysis.jle_check(op, points, eps=0.5)
+    assert report.trials == count
+    assert_matches(report, oracles.jle_check(op, points, 0.5))
+
+
+def polarization_roundoff(op, pairs, seed):
+    """A bound on the relative polarization defect that round-off alone can
+    leave at any pair, whatever order the sums are taken in.
+
+    For pair (x, y), let M = sum_i (|A| (|x| + |y|))_i^2. Every product A u
+    errs by at most g (|A| |u|) componentwise, with g = (n + 2p + 4) u, u
+    the unit round-off, covering the p-term products, the n-term sums and
+    the few roundings in between, so |lhs - rhs| <= 2 g M. Divided by the
+    larger side, here bounded below by |<A x, A y>| - 2 g M, this is the
+    pair's bound; the largest over the pairs is returned.
+    """
+    a = oracles.materialize(op)
+    g = (op.n + 2 * op.p + 4) * U
+    worst = 0.0
+    for x, y in oracles.polarization_pairs(op, pairs, seed):
+        m = float(np.sum((np.abs(a) @ (np.abs(x) + np.abs(y))) ** 2))
+        side = abs(float((a @ x) @ (a @ y))) - 2 * g * m
+        worst = max(worst, 2 * g * m / side if side > 0 else np.inf)
+    return worst
+
+
+@pytest.mark.parametrize("kind,n", OPERATORS)
+@pytest.mark.parametrize("pairs", [1, 100] + block_bracket(4))
+def test_polarization_matches_serial_oracle(kind, n, pairs):
+    # the worst margin is itself round-off, which the batched products take
+    # in another order, so both sides are held to the round-off bound
+    # instead of to each other
+    op = sensing.sensing_new(kind, n, 64, derive_seed(n, kind))
+    report = analysis.polarization_check(op, pairs, seed=pairs)
+    violations, worst = oracles.polarization_check(op, pairs, pairs,
+                                                   analysis.POLARIZATION_TOL)
+    bound = polarization_roundoff(op, pairs, pairs)
+    assert report.trials == pairs
+    assert report.violations == violations
+    assert report.worst_margin <= bound and worst <= bound
+
+
+def test_polarization_draws_each_pair_in_stream_order(monkeypatch):
+    # the stacked operands are the pairs drawn one vector at a time
+    op = sensing.sensing_new("dense_gaussian", 48, 32, 5)
+    calls = []
+    apply = sensing.apply
+    monkeypatch.setattr(sensing, "apply", lambda op, x: calls.append(
+        np.array(x)) or apply(op, x))
+    analysis.polarization_check(op, 70, seed=9)
+    xs, ys = map(np.array, zip(*oracles.polarization_pairs(op, 70, 9)))
+    assert len(calls) == 4
+    for got, want in zip(calls, (xs, ys, xs + ys, xs - ys)):
+        assert np.array_equal(got, want)
+
+
+def fd_roundoff(magnitude, terms, h):
+    """A bound on how far two evaluation orders can move a central difference
+    with step h of a value computed as ``terms`` rounded operations on
+    numbers of the given magnitude: each order errs by at most
+    g * magnitude per value, g = terms * u with u the unit round-off, so
+    each difference by g * magnitude / h, and two orders differ by twice
+    that."""
+    return 2 * terms * U * magnitude / h
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_central_differences_match_serial_within_roundoff(seed):
+    # the gradients suite's sizes. Loss terms: r_i = f((A u)_i) - y_i with
+    # |f(t)| <= 2.5 |t| + 0.5 for both links here, so with
+    # R = 2.5 |A| |u| + 0.5 + |y| the loss errs by at most
+    # (n + 2p + 8) u * sum(R^2) / 2n. Decoder term <G(u), v> with
+    # G(u) = W2 tanh(W1 u + b1) + b2 and |tanh| <= 1, tanh' <= 1: it errs by
+    # at most (k + d + p + 4) u * |v| (|W2| (1 + |W1| |u| + |b1|) + |b2|).
+    # |u| is taken at |x| + h, which covers every stepped point.
+    dec = genmodel.decoder_new(derive_seed(seed, "decoder"), k=4,
+                               hidden_dims=[8], p=24, r=3.0)
+    op = sensing.sensing_new("dense_gaussian", 40, 24, derive_seed(seed, "op"))
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(op.n)
+    x = rng.standard_normal(op.p)
+    h = analysis.FD_STEP
+    big_r = 2.5 * (np.abs(op.matrix) @ (np.abs(x) + h)) + 0.5 + np.abs(y)
+    bound = fd_roundoff(big_r @ big_r / (2 * op.n), op.n + 2 * op.p + 8, h)
+    cosine = measurement.shifted_cosine_link()
+    for link, loss in (
+            (None, lambda u: solvers.loss_glasso(op, y, u)),
+            (cosine, lambda u: solvers.loss_nlasso(op, y, cosine, u))):
+        batched = analysis._central_differences(
+            lambda u: analysis._losses(op, y, link, u), x, h)
+        serial = oracles.central_differences(loss, x, h)
+        assert np.all(np.abs(batched - serial) <= bound)
+
+    z = genmodel.sample_latent(dec, derive_seed(seed, "z"))
+    v = rng.standard_normal(dec.ambient_dim)
+    h = analysis.VJP_STEP
+    (w1, b1), (w2, b2) = dec.layers
+    magnitude = np.abs(v) @ (np.abs(w2) @ (1 + np.abs(w1) @ (np.abs(z) + h)
+                                           + np.abs(b1)) + np.abs(b2))
+    terms = dec.latent_dim + dec.hidden_dims[0] + dec.ambient_dim + 4
+    bound = fd_roundoff(magnitude, terms, h)
+    batched = analysis._central_differences(
+        lambda u: genmodel._forward_cached(dec, u)[0] @ v, z, h)
+    serial = oracles.central_differences(
+        lambda u: genmodel.forward(dec, u) @ v, z, h)
+    assert np.all(np.abs(batched - serial) <= bound)
+
+
+def spy_rows(monkeypatch, module, name, rows):
+    """Record the row count of each call of module.name in rows."""
+    real = getattr(module, name)
+
+    def spy(owner, x, *args):
+        rows.append(np.atleast_2d(x).shape[0])
+        return real(owner, x, *args)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("n", [1, 200, 5000, analysis.N_CAP])
+@pytest.mark.parametrize("tags", [("a",), ("a", "b"), ("a", "b", "c", "d")])
+def test_range_blocks_stay_within_the_cell_budget(monkeypatch, n, tags):
+    # every block but the last holds _block_len pairs; a block's range
+    # points and measurements fit in CHECK_CELLS floats, or it is one pair
+    dec = check_decoder()
+    width = len(tags) * (n + dec.ambient_dim)
+    decoded = []
+    spy_rows(monkeypatch, genmodel, "_forward_cached", decoded)
+    blocks = list(analysis._range_blocks(dec, 1, tags, 300, n))
+    sizes = [len(block[0]) for block in blocks]
+    assert decoded == [len(tags) * b for b in sizes] and sum(sizes) == 300
+    assert set(sizes[:-1]) <= {analysis._block_len(width)}
+    assert all(b * width <= max(analysis.CHECK_CELLS, width) for b in sizes)
+
+
+@pytest.mark.parametrize("n", [2000, analysis.N_CAP])
+def test_check_products_stay_within_the_cell_budget(monkeypatch, n):
+    # A check block of b pairs or points holds b * c * (n + p) floats of
+    # operands and measurements: c = 2 range points in tsrec, 4 in wnu, 4
+    # vectors in polarization, 1 point in jle and in a loss evaluation. It
+    # stays within CHECK_CELLS, or holds one pair or point. A small p keeps
+    # the operator at n = N_CAP to 6.4 MB.
+    dec = genmodel.decoder_new(1, k=2, hidden_dims=[4], p=8, r=3.0)
+    p = dec.ambient_dim
+    op = sensing.sensing_new("dense_gaussian", n, p, 2)
+    applied, decoded = [], []
+    spy_rows(monkeypatch, sensing, "apply", applied)
+    spy_rows(monkeypatch, sensing, "adjoint_apply", applied)
+    spy_rows(monkeypatch, genmodel, "_forward_cached", decoded)
+    runs = [
+        (2, lambda: analysis.tsrec_check(op, dec, eps=0.5, delta=0.01,
+                                         pairs=40, seed=1)),
+        (4, lambda: analysis.wnu_check(op, dec, nu=1.0, eps=0.3, pairs=40,
+                                       seed=1)),
+        (4, lambda: analysis.polarization_check(op, 40, seed=1)),
+        (1, lambda: analysis.jle_check(op, np.ones((40, p)), eps=0.5)),
+        (1, lambda: analysis._central_differences(
+            lambda u: analysis._losses(op, np.zeros(n), None, u),
+            np.ones(p), 1e-6)),
+    ]
+    for c, run in runs:
+        applied.clear()
+        decoded.clear()
+        run()
+        budget = max(analysis.CHECK_CELLS, c * (n + p))
+        assert max(applied) * c * (n + p) <= budget
+        assert max(decoded, default=0) * (n + p) <= budget
+        assert max(applied) > 1 if n == 2000 else max(applied) == 1
 
 
 operators = st.builds(

@@ -330,7 +330,7 @@ CHECK_GOLDEN = [
         "[PASS] wnu: 0/500 violations, worst margin 9.173e-01",
         "[PASS] wnu: 0/500 violations, worst margin 8.103e-01",
         "[PASS] wnu: 0/500 violations, worst margin 2.302e+00",
-        "[PASS] polarization: 0/100 violations, worst margin 5.640e-14",
+        "[PASS] polarization: 0/100 violations, worst margin 7.614e-14",
     ]),
     (["mvt"], 0, [
         "[PASS] mvt: 0/100 violations, worst margin 0.000e+00",
@@ -362,7 +362,7 @@ CHECK_GOLDEN = [
         "[FAIL] wnu: 253/500 violations, worst margin -5.913e+01",
         "[FAIL] wnu: 374/500 violations, worst margin -2.757e+02",
         "[FAIL] wnu: 277/500 violations, worst margin -7.155e+01",
-        "[PASS] polarization: 0/100 violations, worst margin 9.968e-15",
+        "[PASS] polarization: 0/100 violations, worst margin 7.739e-15",
     ]),
 ]
 
@@ -423,6 +423,40 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("config error: check adjoint:")
         assert err.count("\n") == 1
+
+    def test_check_json_does_not_depend_on_blas_threads(self, capsys,
+                                                         blas_threads):
+        # every suite runs with one BLAS thread, whatever the count it finds
+        outputs = []
+        for threads in (1, 2):
+            blas_threads(threads)
+            for suite in cli.CHECK_SUITES:
+                assert cli.main(["check", suite, "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv, code", [(["jle"], 0),
+                                            (["adjoint", "--n", "100"], 2)])
+    def test_check_restores_the_blas_thread_count(self, monkeypatch,
+                                                  two_blas_threads, argv,
+                                                  code):
+        # a suite draws its operators with one thread; the count found is
+        # back after it, also when it raises (adjoint: --n above p = 8 of
+        # its first circulant case)
+        if not two_blas_threads:
+            pytest.skip("no OpenBLAS loaded")
+        counts = []
+        real = sensing.sensing_new
+
+        def spy(*args):
+            counts.append([get() for get, _ in two_blas_threads])
+            return real(*args)
+
+        monkeypatch.setattr(sensing, "sensing_new", spy)
+        assert cli.main(["check", *argv, "--quiet"]) == code
+        assert counts and all(set(c) == {1} for c in counts)
+        assert [get() for get, _ in two_blas_threads] == [2] * len(
+            two_blas_threads)
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_nonpositive_n_rejected(self, capsys, n):
