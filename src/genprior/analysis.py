@@ -12,7 +12,6 @@ import contextlib
 import ctypes
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,13 +93,19 @@ def _block_len(cells):
 
 
 def _rowwise(f, x, cells):
-    """f over consecutive blocks of _block_len(cells) rows of x, the values
-    concatenated: f maps a stack of m rows to m values."""
+    """f over consecutive blocks of _block_len(cells) rows of x, the results
+    concatenated: f maps a stack of m rows to m values or m rows of them."""
     step = _block_len(cells)
-    out = np.empty(len(x))
-    for start in range(0, len(x), step):
-        out[start:start + step] = f(x[start:start + step])
-    return out
+    blocks = [f(x[start:start + step]) for start in range(0, len(x), step)]
+    return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+def _gram(op):
+    """A^T A, (p, p): A^T A e_i for blocks of identity rows e_i, through
+    apply and adjoint_apply, so it serves both operator kinds and each
+    product holds at most CHECK_CELLS floats."""
+    return _rowwise(lambda e: sensing.adjoint_apply(op, sensing.apply(op, e)),
+                    np.eye(op.p), op.n + op.p)
 
 
 def _range_blocks(decoder, seed, tags, pairs, n):
@@ -139,18 +144,21 @@ def tsrec_check(op, decoder, eps, delta, pairs, seed):
     (1-eps)||x1-x2|| - delta <= ||A(x1-x2)||/sqrt(n) <= (1+eps)||x1-x2|| + delta.
     worst_margin reports the largest relative isometry defect
     | ||A d|| / (sqrt(n) ||d||) - 1 | seen (the empirical eps-hat).
+    ||A d||^2 is read as d^T (A^T A) d, with A^T A formed once.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
+    gram = _gram(op)
     violations = 0
     worst = 0.0
     for x1, x2 in _range_blocks(decoder, seed, ("tsrec-a", "tsrec-b"), pairs,
                                 op.n):
         d = x1 - x2
         nd = _row_norms(d)
-        s = _row_norms(sensing.apply(op, d)) / np.sqrt(op.n)
+        # clamped: round-off can take d^T A^T A d below 0 where A d ~ 0
+        s = np.sqrt(np.maximum(np.vecdot(d @ gram, d), 0.0) / op.n)
         violations += int(np.count_nonzero((s > (1 + eps) * nd + delta)
                                            | (s < (1 - eps) * nd - delta)))
         pos = nd > 0
@@ -188,18 +196,19 @@ def wnu_check(op, decoder, nu, eps, pairs, seed):
     |<W x1, x2>| <= (mu1(nu, eps) + WNU_SLACK) ||x1|| ||x2||.
 
     worst_margin is the smallest remaining slack (negative means violated).
+    W is formed once, from A^T A.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     bound_coef = solvers.mu1_of(nu, eps) + WNU_SLACK
+    w = np.eye(op.p) - (nu / op.n) * _gram(op)
     violations = 0
     worst = math.inf
     tags = ("wnu-a", "wnu-b", "wnu-c", "wnu-d")
     for xa, xb, xc, xd in _range_blocks(decoder, seed, tags, pairs, op.n):
         x1 = xa - xb
         x2 = xc - xd
-        wx1 = x1 - (nu / op.n) * sensing.adjoint_apply(op, sensing.apply(op, x1))
-        lhs = np.abs(np.vecdot(wx1, x2))
+        lhs = np.abs(np.vecdot(x1 @ w, x2))
         margin = bound_coef * (_row_norms(x1) * _row_norms(x2)) - lhs
         worst = min(worst, float(margin.min()))
         violations += int(np.count_nonzero(margin < 0))
@@ -285,15 +294,16 @@ def gradient_check(op, link, decoder, points, seed):
     worst = 0.0
     for _ in range(points):
         x = rng.standard_normal(op.p)
-        dev = max(
-            _fd_dev(lambda u: _losses(op, y, None, u),
-                    solvers.grad_glasso(op, y, x), x, FD_STEP),
-            _fd_dev(lambda u: _losses(op, y, link, u),
-                    solvers.grad_nlasso(op, y, link, x), x, FD_STEP))
+        # both losses from one product per block of the stepped points
+        fd = _central_differences(lambda u: _losses(op, y, (None, link), u),
+                                  x, FD_STEP)
+        dev = max(_rel_dev(fd[:, 0], solvers.grad_glasso(op, y, x)),
+                  _rel_dev(fd[:, 1], solvers.grad_nlasso(op, y, link, x)))
         z = genmodel.sample_latent(decoder, rng.integers(2 ** 63))
         v = rng.standard_normal(decoder.ambient_dim)
-        vdev = _fd_dev(lambda u: genmodel._forward_cached(decoder, u)[0] @ v,
-                       genmodel.vjp(decoder, z, v), z, VJP_STEP)
+        vdev = _rel_dev(_central_differences(
+            lambda u: genmodel._forward_cached(decoder, u)[0] @ v, z, VJP_STEP),
+            genmodel.vjp(decoder, z, v))
         worst = max(worst, dev, vdev)
         if dev > GRADIENT_TOL or vdev > VJP_TOL:
             violations += 1
@@ -304,28 +314,31 @@ def gradient_check(op, link, decoder, points, seed):
 
 def _losses(op, y, link, u):
     """(1/2n) ||f(A u_i) - y||^2 for each row u_i of u, f the identity when
-    link is None: the loss of ``solvers.loss_glasso`` or ``loss_nlasso``."""
+    link is None: the loss of ``solvers.loss_glasso`` or ``loss_nlasso``.
+    Given a tuple of links, one column per link, all from one product."""
+    links = link if isinstance(link, tuple) else (link,)
+
     def block(rows):
         t = sensing.apply(op, rows)
-        return _sq_norms((t if link is None else link_eval(link, t)) - y)
-    return _rowwise(block, u, op.n + op.p) / (2.0 * op.n)
+        return np.stack([_sq_norms((t if f is None else link_eval(f, t)) - y)
+                         for f in links], axis=-1)
+    out = _rowwise(block, u, op.n + op.p) / (2.0 * op.n)
+    return out if isinstance(link, tuple) else out[:, 0]
 
 
 def _central_differences(f, x, h):
     """Central differences with step h at x of a scalar function that f
-    evaluates at each row of a stack of points: all 2 len(x) points in one
-    call."""
+    evaluates at each row of a stack of points (or of several, one column
+    each): all 2 len(x) points in one call."""
     steps = h * np.eye(len(x))
     values = f(np.concatenate([x + steps, x - steps]))
     return (values[:len(x)] - values[len(x):]) / (2 * h)
 
 
-def _fd_dev(f, grad, x, h):
-    """Worst per-coordinate relative deviation of the central differences at
-    x of the function that f evaluates row-wise from its analytic gradient
-    grad; tiny coordinates are floored so finite-difference roundoff cannot
-    dominate the ratio."""
-    fd = _central_differences(f, x, h)
+def _rel_dev(fd, grad):
+    """Worst per-coordinate relative deviation of central differences fd
+    from the analytic gradient grad; tiny coordinates are floored so
+    finite-difference roundoff cannot dominate the ratio."""
     denom = np.maximum(np.abs(grad), 1e-8)
     return float(np.max(np.abs(fd - grad) / denom))
 
@@ -528,6 +541,7 @@ def rate_experiment(grid, trials, setup, seed, threads=1):
         seeds = [derive_seed(seed, f"rate-n{n}", i) for i in range(trials)]
         jobs += [(setup, n, group) for group in _split_trials(seeds, cells)]
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as ex:
             groups = list(ex.map(_run_trials_star, jobs, chunksize=1))
     else:

@@ -17,6 +17,7 @@ import collections
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -112,6 +113,7 @@ def main(argv=None):
         return EXIT_INAPPLICABLE
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser():
     p = argparse.ArgumentParser(prog="genprior")
     sub = p.add_subparsers(dest="command", required=True)

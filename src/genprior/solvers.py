@@ -223,9 +223,11 @@ def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
             break
         v = x - cfg.step_size * np.array([g for _, g in fits])
         starts = None if chains is None else chains.z.copy()
+        # seeds start the first projection only; later ones resume chains
+        pseeds = seeds if chains is None else ()
         pres, chains = projection._project_rows(
             decoder, v, cfg.projection,
-            [derive_seed(s, "project", t) for s in seeds], [None] * len(v),
+            [derive_seed(s, "project", t) for s in pseeds], [None] * len(v),
             chains)
         x_next = np.array([r.x_hat for r in pres])
         if (starts is not None and np.array_equal(x_next, x)

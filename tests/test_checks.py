@@ -267,6 +267,27 @@ def spy_rows(monkeypatch, module, name, rows):
     monkeypatch.setattr(module, name, spy)
 
 
+@pytest.mark.parametrize("kind,n", OPERATORS)
+def test_range_checks_read_the_operator_once(monkeypatch, kind, n):
+    # tsrec and wnu apply A only to form A^T A: the operator rows they make
+    # do not grow with the number of pairs
+    dec = check_decoder()
+    op = sensing.sensing_new(kind, n, dec.ambient_dim, derive_seed(n, kind))
+    rows = []
+    spy_rows(monkeypatch, sensing, "apply", rows)
+    spy_rows(monkeypatch, sensing, "adjoint_apply", rows)
+    for check in (lambda pairs: analysis.tsrec_check(op, dec, 0.5, 0.01,
+                                                     pairs, seed=1),
+                  lambda pairs: analysis.wnu_check(op, dec, 1.0, 0.3, pairs,
+                                                   seed=1)):
+        counts = []
+        for pairs in (10, 1000):
+            rows.clear()
+            check(pairs)
+            counts.append(sum(rows))
+        assert counts[0] == counts[1] == 2 * op.p
+
+
 @pytest.mark.parametrize("n", [1, 200, 5000, analysis.N_CAP])
 @pytest.mark.parametrize("tags", [("a",), ("a", "b"), ("a", "b", "c", "d")])
 def test_range_blocks_stay_within_the_cell_budget(monkeypatch, n, tags):

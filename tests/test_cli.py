@@ -482,8 +482,27 @@ class TestCheck:
         with pytest.raises(SystemExit):
             cli.main(["check", "nonexistent"])
 
+    def test_cached_parser_keeps_no_flag_between_calls(self, capsys):
+        # one parser serves every call; a flag given to one call is not
+        # a default of the next
+        assert cli._build_parser() is cli._build_parser()
+        sizes = []
+        for argv in (["jle", "--n", "50"], ["jle"]):
+            assert cli.main(["check", *argv, "--json"]) in (0, 1)
+            docs = json.loads(capsys.readouterr().out)
+            sizes.append({d["params"]["n"] for d in docs})
+        assert sizes == [{50}, {200}]
+
 
 class TestModel:
+    def test_new_flag_is_not_kept_by_the_cached_parser(self, capsys):
+        # a decoder flag left out of a later call takes its preset value
+        ks = []
+        for argv in (["--k", "3"], []):
+            assert cli.main(["model", "new", *argv]) == 0
+            ks.append(json.loads(capsys.readouterr().out)["k"])
+        assert ks == [3, cli.MODEL_PRESET["k"]]
+
     def test_new_default_k20_preset(self, tmp_path, capsys):
         path = tmp_path / "dec.json"
         assert cli.main(["model", "new", "--out", str(path)]) == 0
@@ -886,6 +905,14 @@ class TestEntryPoint:
                               env=child_env())
         assert proc.returncode == 0
         assert proc.stderr == b""
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # rate imports it only when it starts workers
+        code = ("import sys, genprior, genprior.cli; "
+                "print('concurrent.futures.process' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, env=child_env())
+        assert proc.returncode == 0 and proc.stdout == b"False\n"
 
     def test_stdout_determinism(self):
         cmd = [sys.executable, "-m", "genprior.cli", "check", "mvt"]
