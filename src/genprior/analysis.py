@@ -113,11 +113,12 @@ def _range_blocks(decoder, seed, tags, pairs, n):
     n rows, in blocks of pairs that hold at most CHECK_CELLS floats of range
     points and measurements: ``len(tags) * (n + p)`` per pair.
 
-    For each block of consecutive pair indices i, yields one (b, p) array per
-    tag whose rows are G(z_i), where z_0, z_1, ... are a tag's
-    ``_sample_latents`` draws from ``default_rng(derive_seed(seed, tag))``
-    with inset 1. Every latent is sampled up front; a block's latents of
-    every tag are decoded in one batch.
+    For each block of consecutive pair indices i, yields a (tags, b, p)
+    array, one (b, p) view per tag, whose rows are G(z_i), where z_0, z_1,
+    ... are a tag's ``_sample_latents`` draws from
+    ``default_rng(derive_seed(seed, tag))`` with inset 1. Every latent is
+    sampled up front; a block's latents of every tag are decoded in one
+    batch.
     """
     k = decoder.latent_dim
     z = np.stack([genmodel._sample_latents(
@@ -126,7 +127,8 @@ def _range_blocks(decoder, seed, tags, pairs, n):
     step = _block_len(len(tags) * (n + decoder.ambient_dim))
     for start in range(0, pairs, step):
         block = z[:, start:start + step].reshape(-1, k)
-        yield np.split(genmodel._forward_cached(decoder, block)[0], len(tags))
+        yield genmodel._forward_cached(decoder, block)[0].reshape(
+            len(tags), -1, decoder.ambient_dim)
 
 
 def _sq_norms(x):
@@ -243,42 +245,50 @@ def mvt_check(op, link, triples, seed):
     """Derivative-bound sandwich for a differentiable link:
     l ||A x1 - A x2|| <= ||f(A x1) - f(A x2)|| <= u ||A x1 - A x2||,
     checked with zero tolerance. worst_margin is the smallest distance to
-    either bound (0 when l = u)."""
+    either bound (0 when l = u). Triples are multiplied in blocks, as stacks
+    of vector products, so the report has the bytes of one triple at a
+    time."""
     if not link.differentiable:
         raise UnsupportedOperationError("mvt check needs a differentiable link")
-    rng = np.random.default_rng(seed)
     l, u = link.deriv_lo, link.deriv_hi
-    violations = 0
-    worst = math.inf
-    for _ in range(triples):
-        x1 = rng.standard_normal(op.p)
-        x2 = rng.standard_normal(op.p)
-        t1 = sensing.apply(op, x1)
-        t2 = sensing.apply(op, x2)
-        base = float(np.linalg.norm(t1 - t2))
-        mid = float(np.linalg.norm(link_eval(link, t1) - link_eval(link, t2)))
-        if mid < l * base or mid > u * base:
-            violations += 1
-        worst = min(worst, mid - l * base, u * base - mid)
+
+    def sides(x):  # (base, mid) of each triple (x1, x2)
+        t1, t2 = (sensing._apply_each(op, x[:, i]) for i in (0, 1))
+        return np.sqrt(np.stack(
+            [_sq_norms(t1 - t2),
+             _sq_norms(link_eval(link, t1) - link_eval(link, t2))], axis=-1))
+
+    # x1 then x2 of each triple, in the stream order of one draw at a time
+    x = np.random.default_rng(seed).standard_normal((triples, 2, op.p))
+    base, mid = _rowwise(sides, x, op.n + op.p).reshape(-1, 2).T
+    violations = int(np.count_nonzero((mid < l * base) | (mid > u * base)))
+    worst = float(np.min(np.minimum(mid - l * base, u * base - mid),
+                         initial=math.inf))
     return _finish_report("mvt", triples, violations, worst,
                           {"l": l, "u": u, "n": op.n, "seed": seed,
                            "allowed_violations": 0})
 
 
 def adjoint_check(op, trials, seed):
-    """<A x, v> must match <x, A^T v> to ADJOINT_TOL relative."""
+    """<A x, v> must match <x, A^T v> to ADJOINT_TOL relative. Each trial
+    draws x, then v, from one stream; blocks of trials that hold at most
+    CHECK_CELLS floats of x and v (or one trial) are drawn in one call and
+    multiplied as stacks of vector products, so the report has the bytes of
+    one trial at a time."""
+    def devs(xv):
+        x, v = xv[:, :op.p], xv[:, op.p:]
+        lhs = np.vecdot(sensing._apply_each(op, x), v)
+        rhs = np.vecdot(x, sensing._adjoint_each(op, v))
+        return np.abs(lhs - rhs) / np.maximum(
+            np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+
     rng = np.random.default_rng(seed)
-    violations = 0
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(op.p)
-        v = rng.standard_normal(op.n)
-        lhs = float(sensing.apply(op, x) @ v)
-        rhs = float(x @ sensing.adjoint_apply(op, v))
-        dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-        worst = max(worst, dev)
-        if dev > ADJOINT_TOL:
-            violations += 1
+    step = _block_len(op.n + op.p)
+    dev = np.concatenate([np.empty(0)] + [
+        devs(rng.standard_normal((min(step, trials - start), op.p + op.n)))
+        for start in range(0, trials, step)])
+    violations = int(np.count_nonzero(dev > ADJOINT_TOL))
+    worst = float(np.max(dev, initial=0.0))
     return _finish_report("adjoint", trials, violations, worst,
                           {"tol": ADJOINT_TOL, "kind": op.kind, "n": op.n,
                            "p": op.p, "seed": seed, "allowed_violations": 0})
@@ -297,8 +307,9 @@ def gradient_check(op, link, decoder, points, seed):
         # both losses from one product per block of the stepped points
         fd = _central_differences(lambda u: _losses(op, y, (None, link), u),
                                   x, FD_STEP)
-        dev = max(_rel_dev(fd[:, 0], solvers.grad_glasso(op, y, x)),
-                  _rel_dev(fd[:, 1], solvers.grad_nlasso(op, y, link, x)))
+        ax = sensing.apply(op, x)  # both gradients from one product
+        dev = max(_rel_dev(fd[:, 0], solvers.grad_glasso(op, y, x, ax)),
+                  _rel_dev(fd[:, 1], solvers.grad_nlasso(op, y, link, x, ax)))
         z = genmodel.sample_latent(decoder, rng.integers(2 ** 63))
         v = rng.standard_normal(decoder.ambient_dim)
         vdev = _rel_dev(_central_differences(

@@ -268,6 +268,9 @@ def _run_suite(suite, seed, n_override):
         cases = [("dense_gaussian", 50, 80), ("dense_gaussian", 200, 120),
                  ("partial_circulant", 5, 8), ("partial_circulant", 37, 64)]
         for i, (kind, n, p) in enumerate(cases):
+            if kind == "partial_circulant" and size(n) > p:
+                raise ValueError(f"--n must be <= {p} (a partial_circulant "
+                                 f"case has p = {p}), got {size(n)}")
             op = sensing.sensing_new(kind, size(n), p,
                                      derive_seed(seed, "adjoint-op", i))
             reports.append(analysis.adjoint_check(

@@ -199,13 +199,14 @@ def sample_latent(decoder, seed, inset=0.9):
 def _sample_latents(decoder, rng, count, inset):
     """``count`` uniform draws from the ball of radius inset * r, as the rows
     of a (count, k) array: every direction from rng first, then every radius.
-    One draw consumes the stream as ``sample_latent`` does. The radius is
-    computed in Python floats, which round unlike numpy's array power."""
+    One draw consumes the stream as ``sample_latent`` does. The radius
+    inset * r * u^(1/k) takes u^(1/k) from ``math.pow``, the C library's pow
+    that Python's float power also calls; numpy's array power rounds
+    differently in a few percent of draws."""
     k = decoder.latent_dim
     d = rng.standard_normal((count, k))
-    scale = decoder.latent_radius * inset
-    radius = np.array([scale * u ** (1.0 / k)
-                       for u in rng.random(count).tolist()])
+    roots = map(math.pow, rng.random(count).tolist(), [1.0 / k] * count)
+    radius = decoder.latent_radius * inset * np.fromiter(roots, float, count)
     return radius[:, None] * (d / np.sqrt(np.vecdot(d, d))[:, None])
 
 

@@ -8,7 +8,7 @@ A = R_Omega circ(g) D_xi. The operator stores A unnormalized; 1/n and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,9 @@ class SensingOperator:
     gen: np.ndarray | None = None     # circulant generator g (length p)
     signs: np.ndarray | None = None   # +-1 column flips xi (length p)
     omega: np.ndarray | None = None   # sorted row subset, |omega| = n
+    # rfft(g), derived from gen once; every circulant product reads it
+    spectrum: np.ndarray | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -41,6 +44,7 @@ class SensingOperator:
         if self.kind == "partial_circulant":
             if len(self.omega) != self.n or len(np.unique(self.omega)) != self.n:
                 raise ValueError("omega must hold n distinct indices")
+            object.__setattr__(self, "spectrum", np.fft.rfft(self.gen))
 
 
 def sensing_new(kind, n, p, seed):
@@ -62,23 +66,45 @@ def sensing_new(kind, n, p, seed):
 
 def apply(op, x):
     """A x for a vector x, or the rows of A x_i for a stack x of shape (m, p).
-    Circulant path: cyclic convolution then row subsampling."""
+    Circulant path: the cyclic convolution circ(g) x, with
+    (circ(g))_ij = g_((i-j) mod p), by FFT, then row subsampling."""
     x = _checked(x, op.p)
     if op.kind == "dense_gaussian":
         return op.matrix @ x if x.ndim == 1 else x @ op.matrix.T
-    full = _cyclic_convolve(op.gen, op.signs * x)
+    full = np.fft.irfft(op.spectrum * np.fft.rfft(op.signs * x), n=op.p)
     return full[..., op.omega]
 
 
 def adjoint_apply(op, v):
     """A^T v for a vector v, or row-wise for a stack v of shape (m, n).
-    Circulant path: zero-fill on omega, correlate with g, flip signs."""
+    Circulant path: zero-fill on omega, correlate with g (circ(g)^T w) by
+    FFT, flip signs."""
     v = _checked(v, op.n)
     if op.kind == "dense_gaussian":
         return op.matrix.T @ v if v.ndim == 1 else v @ op.matrix
     w = np.zeros(v.shape[:-1] + (op.p,))
     w[..., op.omega] = v
-    return op.signs * _cyclic_correlate(op.gen, w)
+    return op.signs * np.fft.irfft(np.conj(op.spectrum) * np.fft.rfft(w),
+                                   n=op.p)
+
+
+def _apply_each(op, x):
+    """The rows A x_i of a stack x, (m, p), each bit for bit the vector
+    product ``apply(op, x_i)``: one gemv per row for a dense operator (a
+    gemm rounds differently), and C-contiguous rows, so that a row's dot
+    product rounds as the vector's does (``apply`` returns a circulant
+    stack in column order)."""
+    if op.kind == "dense_gaussian":
+        return (op.matrix @ _checked(x, op.p)[..., None])[..., 0]
+    return np.ascontiguousarray(apply(op, x))
+
+
+def _adjoint_each(op, v):
+    """The rows A^T v_i of a stack v, (m, n), each bit for bit the vector
+    product ``adjoint_apply(op, v_i)``."""
+    if op.kind == "dense_gaussian":
+        return (op.matrix.T @ _checked(v, op.n)[..., None])[..., 0]
+    return adjoint_apply(op, v)
 
 
 def _checked(x, length):
@@ -88,14 +114,3 @@ def _checked(x, length):
         raise ValueError(f"expected vector of length {length} or rows of it")
     return x
 
-
-def _cyclic_convolve(g, x):
-    # circ(g) x, with (circ(g))_{ij} = g_{(i-j) mod p}
-    p = len(g)
-    return np.fft.irfft(np.fft.rfft(g) * np.fft.rfft(x), n=p)
-
-
-def _cyclic_correlate(g, w):
-    # circ(g)^T w
-    p = len(g)
-    return np.fft.irfft(np.conj(np.fft.rfft(g)) * np.fft.rfft(w), n=p)

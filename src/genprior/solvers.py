@@ -86,9 +86,10 @@ def loss_glasso(op, y_tilde, x):
     return float(r @ r) / (2.0 * op.n)
 
 
-def grad_glasso(op, y_tilde, x):
-    """(1/n) A^T (A x - y)."""
-    return _fit(op, _check_measurements(op, y_tilde), None, x)[1]
+def grad_glasso(op, y_tilde, x, ax=None):
+    """(1/n) A^T (A x - y); ``ax``, when given, is A x and is not
+    recomputed."""
+    return _fit(op, _check_measurements(op, y_tilde), None, x, ax)[1]
 
 
 def loss_nlasso(op, y_tilde, link, x):
@@ -99,10 +100,11 @@ def loss_nlasso(op, y_tilde, link, x):
     return float(r @ r) / (2.0 * op.n)
 
 
-def grad_nlasso(op, y_tilde, link, x):
-    """(1/n) A^T ((f(A x) - y) . f'(A x))."""
+def grad_nlasso(op, y_tilde, link, x, ax=None):
+    """(1/n) A^T ((f(A x) - y) . f'(A x)); ``ax``, when given, is A x and
+    is not recomputed."""
     _require_differentiable(link)
-    return _fit(op, _check_measurements(op, y_tilde), link, x)[1]
+    return _fit(op, _check_measurements(op, y_tilde), link, x, ax)[1]
 
 
 def pgd_glasso(op, y_tilde, decoder, cfg, target=None):
@@ -190,11 +192,11 @@ def _solve_group(kind, ops, ys, link, decoder, cfg, seeds, targets,
                      decoder, cfg, seeds, targets)
 
 
-def _fit(op, y, link, x):
+def _fit(op, y, link, x, ax=None):
     """Loss (1/2n)||f(A x) - y||^2 and its gradient
-    (1/n) A^T ((f(A x) - y) . f'(A x)) from one product A x; f is the
-    identity when link is None."""
-    t = sensing.apply(op, x)
+    (1/n) A^T ((f(A x) - y) . f'(A x)) from one product A x, or from ``ax``
+    when given; f is the identity when link is None."""
+    t = sensing.apply(op, x) if ax is None else ax
     if link is None:
         r = t - y
         g = sensing.adjoint_apply(op, r)

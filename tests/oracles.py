@@ -146,6 +146,45 @@ def polarization_check(op, pairs, seed, tol):
     return violations, worst
 
 
+def mvt_check(op, link, triples, seed):
+    """(violations, worst_margin) of ``analysis.mvt_check``, one triple at a
+    time through the single-vector operator."""
+    rng = np.random.default_rng(seed)
+    l, u = link.deriv_lo, link.deriv_hi
+    violations = 0
+    worst = math.inf
+    for _ in range(triples):
+        x1 = rng.standard_normal(op.p)
+        x2 = rng.standard_normal(op.p)
+        t1 = sensing.apply(op, x1)
+        t2 = sensing.apply(op, x2)
+        base = float(np.linalg.norm(t1 - t2))
+        mid = float(np.linalg.norm(measurement.link_eval(link, t1)
+                                   - measurement.link_eval(link, t2)))
+        if mid < l * base or mid > u * base:
+            violations += 1
+        worst = min(worst, mid - l * base, u * base - mid)
+    return violations, worst
+
+
+def adjoint_check(op, trials, seed, tol):
+    """(violations, worst_margin) of ``analysis.adjoint_check``, one trial
+    at a time through the single-vector operator."""
+    rng = np.random.default_rng(seed)
+    violations = 0
+    worst = 0.0
+    for _ in range(trials):
+        x = rng.standard_normal(op.p)
+        v = rng.standard_normal(op.n)
+        lhs = float(sensing.apply(op, x) @ v)
+        rhs = float(x @ sensing.adjoint_apply(op, v))
+        dev = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
+        worst = max(worst, dev)
+        if dev > tol:
+            violations += 1
+    return violations, worst
+
+
 def central_differences(f, x, h):
     """Central differences with step h at x of the scalar function f, one
     coordinate at a time; the oracle for ``analysis._central_differences``."""

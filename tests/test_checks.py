@@ -204,6 +204,84 @@ def test_polarization_draws_each_pair_in_stream_order(monkeypatch):
         assert np.array_equal(got, want)
 
 
+# widths n at a small and a large p of each kind; partial circulants need
+# n <= p
+VECTOR_CASES = [(kind, n, p) for kind in sensing.KINDS
+                for n in (1, 3, 5, 7, 37, 200) for p in (8, 64, 240)
+                if kind == "dense_gaussian" or n <= p]
+
+
+def bits(value):
+    return float(value).hex()
+
+
+@pytest.mark.parametrize("kind,n,p", VECTOR_CASES)
+def test_adjoint_matches_serial_oracle_bitwise(kind, n, p):
+    # 300 trials span several blocks at the largest widths
+    op = sensing.sensing_new(kind, n, p, derive_seed(n, kind, p))
+    report = analysis.adjoint_check(op, trials=300, seed=p)
+    violations, worst = oracles.adjoint_check(op, 300, p, analysis.ADJOINT_TOL)
+    assert report.trials == 300
+    assert report.violations == violations
+    assert bits(report.worst_margin) == bits(worst)
+
+
+@pytest.mark.parametrize("link", [measurement.linear_link(),
+                                  measurement.shifted_cosine_link()],
+                         ids=["linear", "shifted_cosine"])
+@pytest.mark.parametrize("kind,n,p", VECTOR_CASES)
+def test_mvt_matches_serial_oracle_bitwise(kind, n, p, link):
+    op = sensing.sensing_new(kind, n, p, derive_seed(n, kind, p))
+    report = analysis.mvt_check(op, link, triples=300, seed=n)
+    violations, worst = oracles.mvt_check(op, link, 300, n)
+    assert report.trials == 300
+    assert report.violations == violations
+    assert bits(report.worst_margin) == bits(worst)
+
+
+def test_vector_checks_of_no_trials():
+    op = sensing.sensing_new("dense_gaussian", 5, 8, 0)
+    assert analysis.adjoint_check(op, 0, seed=1).worst_margin == 0.0
+    assert analysis.mvt_check(op, measurement.linear_link(), 0,
+                              seed=1).worst_margin == np.inf
+
+
+@pytest.mark.parametrize("kind", sensing.KINDS)
+@pytest.mark.parametrize("n", [2000, analysis.N_CAP])
+def test_vector_checks_stay_within_the_cell_budget(monkeypatch, kind, n):
+    # adjoint and mvt hand sensing stacks of b rows of p floats, whose
+    # products have n floats a row: b (n + p) stays within CHECK_CELLS, or
+    # b = 1. A dense p of 8 keeps the operator at n = N_CAP to 6.4 MB.
+    p = 8 if kind == "dense_gaussian" else n
+    op = sensing.sensing_new(kind, n, p, 3)
+    rows = []
+    spy_rows(monkeypatch, sensing, "_apply_each", rows)
+    spy_rows(monkeypatch, sensing, "_adjoint_each", rows)
+    for run in (lambda: analysis.adjoint_check(op, trials=40, seed=1),
+                lambda: analysis.mvt_check(op, measurement.linear_link(),
+                                           triples=40, seed=1)):
+        rows.clear()
+        run()
+        assert rows and max(rows) * (n + p) <= max(analysis.CHECK_CELLS,
+                                                   n + p)
+        assert max(rows) > 1 if n == 2000 else max(rows) == 1
+
+
+def test_gradient_check_applies_the_operator_once_per_point(monkeypatch):
+    # one product A x feeds both analytic gradients, and one product of the
+    # 2p stepped points both losses
+    dec = genmodel.decoder_new(derive_seed(1, "decoder"), k=4,
+                               hidden_dims=[8], p=24, r=3.0)
+    op = sensing.sensing_new("dense_gaussian", 40, 24, 1)
+    shapes = []
+    apply = sensing.apply
+    monkeypatch.setattr(sensing, "apply", lambda op, x: shapes.append(
+        np.shape(x)) or apply(op, x))
+    analysis.gradient_check(op, measurement.shifted_cosine_link(), dec,
+                            points=7, seed=1)
+    assert sorted(shapes) == [(24,)] * 7 + [(48, 24)] * 7
+
+
 def fd_roundoff(magnitude, terms, h):
     """A bound on how far two evaluation orders can move a central difference
     with step h of a value computed as ``terms`` rounded operations on

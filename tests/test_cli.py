@@ -424,6 +424,17 @@ class TestCheck:
         assert err.startswith("config error: check adjoint:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", [9, 64])
+    def test_adjoint_n_above_circulant_p_names_the_flag_and_bound(
+            self, capsys, n):
+        # the first partial circulant case has p = 8; --n 8 is accepted
+        assert cli.main(["check", "adjoint", "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"config error: check adjoint: --n must be <= 8 (a "
+                       f"partial_circulant case has p = 8), got {n}\n")
+        assert cli.main(["check", "adjoint", "--n", "8", "--quiet"]) == 0
+
     def test_check_json_does_not_depend_on_blas_threads(self, capsys,
                                                          blas_threads):
         # every suite runs with one BLAS thread, whatever the count it finds

@@ -49,6 +49,39 @@ class TestConstruction:
         assert np.array_equal(a.omega, b.omega)
 
 
+class TestSpectrum:
+    def test_hand_built_operator_derives_the_same_spectrum(self):
+        # the spectrum is derived from gen in the constructor, for an
+        # operator built by hand as for one from sensing_new, and gives
+        # the same products bit for bit
+        drawn = sensing.sensing_new("partial_circulant", 37, 64, 5)
+        built = sensing.SensingOperator("partial_circulant", 37, 64, 5,
+                                        gen=drawn.gen.copy(),
+                                        signs=drawn.signs.copy(),
+                                        omega=drawn.omega.copy())
+        assert np.array_equal(built.spectrum, np.fft.rfft(drawn.gen))
+        assert np.array_equal(built.spectrum, drawn.spectrum)
+        rng = np.random.default_rng(5)
+        for rows in ((), (3,)):
+            x = rng.standard_normal(rows + (64,))
+            v = rng.standard_normal(rows + (37,))
+            assert np.array_equal(sensing.apply(built, x),
+                                  sensing.apply(drawn, x))
+            assert np.array_equal(sensing.adjoint_apply(built, v),
+                                  sensing.adjoint_apply(drawn, v))
+
+    def test_spectrum_is_not_a_constructor_argument(self):
+        drawn = sensing.sensing_new("partial_circulant", 5, 8, 1)
+        with pytest.raises(TypeError):
+            sensing.SensingOperator("partial_circulant", 5, 8, 1,
+                                    gen=drawn.gen, signs=drawn.signs,
+                                    omega=drawn.omega,
+                                    spectrum=drawn.spectrum)
+
+    def test_dense_operator_has_no_spectrum(self):
+        assert sensing.sensing_new("dense_gaussian", 4, 6, 5).spectrum is None
+
+
 class TestApply:
     def test_zero_vector(self):
         for kind, n, p in [("dense_gaussian", 6, 9), ("partial_circulant", 4, 9)]:
