@@ -37,7 +37,6 @@ __all__ = [
     "gradient_check",
     "contraction_fit",
     "plant_unit_signal",
-    "SolveResult",
     "solve_instance",
     "run_trials",
     "rate_experiment",
@@ -275,7 +274,8 @@ def adjoint_check(op, trials, seed):
     CHECK_CELLS floats of x and v (or one trial) are drawn in one call and
     multiplied as stacks of vector products, so the report has the bytes of
     one trial at a time."""
-    def devs(xv):
+    def devs(block):  # x then v of each trial of a block of trial indices
+        xv = rng.standard_normal((len(block), op.p + op.n))
         x, v = xv[:, :op.p], xv[:, op.p:]
         lhs = np.vecdot(sensing._apply_each(op, x), v)
         rhs = np.vecdot(x, sensing._adjoint_each(op, v))
@@ -283,10 +283,7 @@ def adjoint_check(op, trials, seed):
             np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
 
     rng = np.random.default_rng(seed)
-    step = _block_len(op.n + op.p)
-    dev = np.concatenate([np.empty(0)] + [
-        devs(rng.standard_normal((min(step, trials - start), op.p + op.n)))
-        for start in range(0, trials, step)])
+    dev = _rowwise(devs, range(trials), op.n + op.p)
     violations = int(np.count_nonzero(dev > ADJOINT_TOL))
     worst = float(np.max(dev, initial=0.0))
     return _finish_report("adjoint", trials, violations, worst,

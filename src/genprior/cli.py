@@ -101,8 +101,7 @@ FACTORIES = {"mlp": "decoder_new",
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:
@@ -267,10 +266,11 @@ def _run_suite(suite, seed, n_override):
     if suite == "adjoint":
         cases = [("dense_gaussian", 50, 80), ("dense_gaussian", 200, 120),
                  ("partial_circulant", 5, 8), ("partial_circulant", 37, 64)]
-        for i, (kind, n, p) in enumerate(cases):
+        for kind, n, p in cases:  # every size before any draw
             if kind == "partial_circulant" and size(n) > p:
                 raise ValueError(f"--n must be <= {p} (a partial_circulant "
                                  f"case has p = {p}), got {size(n)}")
+        for i, (kind, n, p) in enumerate(cases):
             op = sensing.sensing_new(kind, size(n), p,
                                      derive_seed(seed, "adjoint-op", i))
             reports.append(analysis.adjoint_check(

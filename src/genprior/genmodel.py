@@ -3,12 +3,13 @@
 The decoder maps a bounded latent ball into ambient space. It is immutable
 after construction, its forward pass is deterministic, and it carries a
 certified Lipschitz upper bound: the product of its layers' exact spectral
-norms, computed when it is built (the activations used here are all
-1-Lipschitz).
+norms, computed on first read, then cached (the activations used here are
+all 1-Lipschitz).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,9 +35,9 @@ class GenerativeDecoder:
     ``layers`` is an ordered list of (weight, bias) pairs; the activation is
     applied after every layer except the last. ``family`` records how the
     weights were generated so they can be rebuilt from the seed alone.
-    ``hidden_dims`` (the output dims of all layers but the last) and
-    ``lipschitz`` (the product of the layers' spectral norms) are derived
-    from ``layers`` at construction.
+    ``hidden_dims`` (the output dims of all layers but the last) is derived
+    from ``layers`` at construction; ``lipschitz`` (the product of the
+    layers' spectral norms) on first read, then cached.
     """
 
     latent_dim: int
@@ -48,7 +49,6 @@ class GenerativeDecoder:
     weight_scale: float
     family: str = "mlp"
     hidden_dims: tuple = field(init=False)
-    lipschitz: float = field(init=False)
 
     def __post_init__(self):
         _check_dims(self.latent_dim, self.ambient_dim, self.latent_radius)
@@ -64,8 +64,10 @@ class GenerativeDecoder:
         if dims[-1] != self.ambient_dim:
             raise ValueError("last layer output dim != ambient dim")
         object.__setattr__(self, "hidden_dims", tuple(dims[1:-1]))
-        object.__setattr__(self, "lipschitz", float(math.prod(
-            _spectral_norm(w) for w, _ in self.layers)))
+
+    @functools.cached_property
+    def lipschitz(self):  # only the statistical bound reads it
+        return float(math.prod(_spectral_norm(w) for w, _ in self.layers))
 
 
 def _spectral_norm(w):
@@ -108,7 +110,8 @@ def decoder_new(seed, k, hidden_dims, p, r, activation="tanh", weight_scale=1.0)
     rng = np.random.default_rng(seed)
     layers = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
-        w = rng.standard_normal((d_out, d_in)) * (weight_scale / np.sqrt(d_in))
+        w = rng.standard_normal((d_out, d_in))
+        w *= weight_scale / np.sqrt(d_in)
         layers.append((w, np.zeros(d_out)))
     return GenerativeDecoder(k, p, float(r), tuple(layers),
                              activation, int(seed), float(weight_scale),

@@ -435,6 +435,19 @@ class TestCheck:
                        f"partial_circulant case has p = 8), got {n}\n")
         assert cli.main(["check", "adjoint", "--n", "8", "--quiet"]) == 0
 
+    @pytest.mark.parametrize("n", [9, analysis.N_CAP])
+    def test_adjoint_n_above_circulant_p_rejected_before_any_draw(
+            self, capsys, monkeypatch, n):
+        # the dense cases come first, but no case is drawn at an --n that
+        # a later case rejects
+        def no_draw(*args):
+            raise AssertionError("an operator was drawn")
+        monkeypatch.setattr(sensing, "sensing_new", no_draw)
+        assert cli.main(["check", "adjoint", "--n", str(n)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: check adjoint: --n must be <= 8 (a "
+            f"partial_circulant case has p = 8), got {n}\n")
+
     def test_check_json_does_not_depend_on_blas_threads(self, capsys,
                                                          blas_threads):
         # every suite runs with one BLAS thread, whatever the count it finds
@@ -446,14 +459,13 @@ class TestCheck:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("argv, code", [(["jle"], 0),
-                                            (["adjoint", "--n", "100"], 2)])
+    @pytest.mark.parametrize("argv, code", [(["jle"], 0), (["adjoint"], 2)])
     def test_check_restores_the_blas_thread_count(self, monkeypatch,
                                                   two_blas_threads, argv,
                                                   code):
         # a suite draws its operators with one thread; the count found is
-        # back after it, also when it raises (adjoint: --n above p = 8 of
-        # its first circulant case)
+        # back after it, also when it raises after a draw (code 2: the
+        # first draw raises a ValueError, reported as a config error)
         if not two_blas_threads:
             pytest.skip("no OpenBLAS loaded")
         counts = []
@@ -461,6 +473,8 @@ class TestCheck:
 
         def spy(*args):
             counts.append([get() for get, _ in two_blas_threads])
+            if code:
+                raise ValueError("a draw failed")
             return real(*args)
 
         monkeypatch.setattr(sensing, "sensing_new", spy)

@@ -1,9 +1,19 @@
 import json
+import math
+import pickle
 
 import numpy as np
 import pytest
 
-from genprior import cli, genmodel
+from genprior import analysis, cli, genmodel, measurement
+from genprior.projection import ProjectionConfig
+from genprior.solvers import SolverConfig
+
+# a decoder of each family, by family name
+FAMILIES = {"mlp": lambda: genmodel.decoder_new(13, 4, [16, 24], 32, 1.0),
+            "orthonormal_linear":
+                lambda: genmodel.orthonormal_linear_decoder(6, 4, 12, 1.0),
+            "identity": lambda: genmodel.identity_decoder(3, 2.0)}
 
 
 def straight_line_forward(dec, z):
@@ -83,6 +93,14 @@ class TestConstruction:
     def test_empty_hidden_dims_allowed(self):
         dec = genmodel.decoder_new(0, 2, [], 6, 1.0)
         assert len(dec.layers) == 1
+
+    def test_weights_are_the_scaled_gaussian_draws(self):
+        dims = [20, 500, 500, 784]
+        rng = np.random.default_rng(0)
+        dec = genmodel.decoder_new(0, 20, dims[1:-1], 784, 3.0)
+        for (w, _), d_in, d_out in zip(dec.layers, dims[:-1], dims[1:]):
+            expected = rng.standard_normal((d_out, d_in)) * (1.0 / np.sqrt(d_in))
+            assert np.array_equal(w, expected)
 
     def test_determinism_bit_identical_weights(self):
         a = genmodel.decoder_new(123, 3, [7], 11, 2.0)
@@ -206,6 +224,58 @@ class TestLipschitzBound:
             expected *= np.linalg.svd(w, compute_uv=False)[0]
         got = dec.lipschitz
         assert abs(got - expected) <= 1e-6 * expected
+
+
+class TestLazyLipschitz:
+    # L enters only the statistical bound, so a decoder is built, and
+    # solved with, without the eigen-solves of its spectral norms
+    @pytest.fixture
+    def norm_calls(self, monkeypatch):
+        calls = []
+        real = genmodel._spectral_norm
+
+        def spy(w):
+            calls.append(w.shape)
+            return real(w)
+
+        monkeypatch.setattr(genmodel, "_spectral_norm", spy)
+        return calls
+
+    def test_build_and_solve_run_no_eigen_solve(self, monkeypatch):
+        def no_eigvalsh(*args):
+            raise AssertionError("an eigen-solve ran")
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        dec = genmodel.decoder_new(0, 20, [500, 500], 784, 3.0)
+        cfg = SolverConfig(step_size=1.0, iterations=2,
+                           projection=ProjectionConfig(steps=5, restarts=1))
+        setup = analysis.TrialSetup(
+            decoder=dec, link=measurement.sign_dithered_link(sigma_d=0.1),
+            solver_kind="pgd_glasso", solver_cfg=cfg,
+            sensing_kind="partial_circulant")
+        res = analysis.solve_instance(setup, 400, 3)
+        assert np.isfinite(res.record.loss)
+        assert "lipschitz" not in vars(dec)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_first_read_is_the_product_of_spectral_norms(self, norm_calls,
+                                                         family):
+        dec = FAMILIES[family]()
+        assert dec.family == family and norm_calls == []
+        expected = float(math.prod(genmodel._spectral_norm(w)
+                                   for w, _ in dec.layers))
+        del norm_calls[:]
+        assert dec.lipschitz == expected
+        assert norm_calls == [w.shape for w, _ in dec.layers]
+        assert dec.lipschitz == expected
+        assert len(norm_calls) == len(dec.layers)
+
+    def test_pickled_decoder_keeps_the_value(self, norm_calls):
+        dec = FAMILIES["mlp"]()
+        lip = dec.lipschitz
+        back = pickle.loads(pickle.dumps(dec))
+        del norm_calls[:]
+        assert back.lipschitz == lip
+        assert norm_calls == []
 
 
 class TestSampleLatent:
