@@ -50,6 +50,7 @@ VJP_TOL = 1e-4  # relative, decoder vjp against central differences
 FD_STEP = 1e-6  # central-difference step in ambient space
 VJP_STEP = 1e-5  # central-difference step in latent space
 N_CAP = 100_000  # largest measurement count of a solve or a rate grid point
+DENSE_CAP = 2 ** 27  # cells n * p of one dense operator: 1 GiB of float64
 OPERATOR_BUDGET = 2 ** 19  # dense operator cells (4 MiB) of one trial group
 CHECK_CELLS = 2 ** 16  # floats of the points and measurements of a check block
 OBSERVATIONS = ("sim", "known", "auto")  # "auto" follows the solver kind
@@ -320,18 +321,15 @@ def gradient_check(op, link, decoder, points, seed):
                            "p": op.p, "seed": seed, "allowed_violations": 0})
 
 
-def _losses(op, y, link, u):
-    """(1/2n) ||f(A u_i) - y||^2 for each row u_i of u, f the identity when
-    link is None: the loss of ``solvers.loss_glasso`` or ``loss_nlasso``.
-    Given a tuple of links, one column per link, all from one product."""
-    links = link if isinstance(link, tuple) else (link,)
-
+def _losses(op, y, links, u):
+    """(1/2n) ||f(A u_i) - y||^2 for each row u_i of u, one column per link
+    f of the tuple links, f the identity where it is None: the losses of
+    ``solvers.loss_glasso`` and ``loss_nlasso``, all from one product."""
     def block(rows):
         t = sensing.apply(op, rows)
         return np.stack([_sq_norms((t if f is None else link_eval(f, t)) - y)
                          for f in links], axis=-1)
-    out = _rowwise(block, u, op.n + op.p) / (2.0 * op.n)
-    return out if isinstance(link, tuple) else out[:, 0]
+    return _rowwise(block, u, op.n + op.p) / (2.0 * op.n)
 
 
 def _central_differences(f, x, h):
@@ -484,14 +482,14 @@ def _draw_instance(setup, n, seed):
                              derive_seed(seed, "sensing"))
     if setup.resolved_observation() == "sim":
         x_star, _ = plant_unit_signal(decoder, derive_seed(seed, "signal"))
-        obs = observe_sim(link, op, x_star, derive_seed(seed, "observe"))
+        y = observe_sim(link, op, x_star, derive_seed(seed, "observe"))
         target = link.mu * x_star
     else:
         z_star = genmodel.sample_latent(decoder, derive_seed(seed, "signal"))
         x_star = genmodel.forward(decoder, z_star)
-        obs = observe_known(link, op, x_star, derive_seed(seed, "observe"))
+        y = observe_known(link, op, x_star, derive_seed(seed, "observe"))
         target = x_star
-    return op, obs.y_tilde, x_star, target
+    return op, y, x_star, target
 
 
 @dataclass(frozen=True)
@@ -575,8 +573,9 @@ def rate_experiment(grid, trials, setup, seed, threads=1):
 
 def _check_n(n, kind, p, key):
     """Reject, before any draw, a measurement count n outside [1, N_CAP],
-    or above p for partial_circulant; the message names the key."""
-    cap = min(N_CAP, p) if kind == "partial_circulant" else N_CAP
+    above p for partial_circulant, or above DENSE_CAP // p for
+    dense_gaussian; the message names the key."""
+    cap = min(N_CAP, p if kind == "partial_circulant" else DENSE_CAP // p)
     if not 1 <= n <= cap:
         raise ValueError(f"{key}: need 1 <= n <= {cap}, got {n}")
 

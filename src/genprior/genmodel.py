@@ -26,9 +26,10 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("tanh", "relu", "identity")
+WEIGHT_CAP = 2 ** 27  # layer weights of one decoder: 1 GiB of float64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class GenerativeDecoder:
     """Fixed-weight feed-forward decoder z in B_2^k(r) -> R^p.
 
@@ -88,6 +89,15 @@ def _check_dims(k, p, r):
     return k, p
 
 
+def _check_weights(dims):
+    """Reject, before any draw, layers of widths dims (k first, p last) that
+    hold more than WEIGHT_CAP weights."""
+    count = sum(a * b for a, b in zip(dims[:-1], dims[1:]))
+    if count > WEIGHT_CAP:
+        raise ValueError(f"layer widths {dims} (k, hidden dims, p) hold "
+                         f"{count} weights, above the cap of {WEIGHT_CAP}")
+
+
 def _size(value, name):
     """value as an int; a bool, a float or any other non-integer is rejected
     rather than truncated."""
@@ -107,6 +117,7 @@ def decoder_new(seed, k, hidden_dims, p, r, activation="tanh", weight_scale=1.0)
     dims = [k, *(_size(h, "a hidden dim") for h in hidden_dims), p]
     if min(dims[:-1]) < 1:  # each fan-in divides a weight std
         raise ValueError("hidden dims must be positive")
+    _check_weights(dims)
     rng = np.random.default_rng(seed)
     layers = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
@@ -121,6 +132,7 @@ def decoder_new(seed, k, hidden_dims, p, r, activation="tanh", weight_scale=1.0)
 def identity_decoder(k, r=1.0):
     """Decoder with a single identity layer: forward(z) = z."""
     k, _ = _check_dims(k, k, r)
+    _check_weights([k, k])
     layers = ((np.eye(k), np.zeros(k)),)
     return GenerativeDecoder(k, k, float(r), layers, "identity", 0, 1.0,
                              family="identity")
@@ -133,6 +145,7 @@ def orthonormal_linear_decoder(seed, k, p, r):
     it the exact-projection oracle used in tests.
     """
     k, p = _check_dims(k, p, r)
+    _check_weights([k, p])
     rng = np.random.default_rng(seed)
     q, rmat = np.linalg.qr(rng.standard_normal((p, k)))
     q = q * np.sign(np.diag(rmat))  # canonical sign, deterministic

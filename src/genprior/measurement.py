@@ -18,7 +18,6 @@ from .seeding import derive_seed
 
 __all__ = [
     "LinkModel",
-    "Observation",
     "linear_link",
     "shifted_cosine_link",
     "sign_dithered_link",
@@ -49,19 +48,6 @@ class LinkModel:
     @property
     def differentiable(self):
         return self.kind != "sign_dithered"
-
-
-@dataclass(frozen=True)
-class Observation:
-    y_tilde: np.ndarray
-    y_clean: np.ndarray
-    tau_used: float = 0.0
-
-    def __post_init__(self):
-        n = len(self.y_clean)
-        gap = np.linalg.norm(self.y_tilde - self.y_clean) / np.sqrt(n)
-        if gap > self.tau_used + 1e-12:
-            raise ValueError("corruption exceeds the declared tau budget")
 
 
 def linear_link(sigma=0.0, tau=0.0):
@@ -140,7 +126,7 @@ def link_deriv(link, t):
 
 
 def observe_sim(link, op, x_star, seed):
-    """Unknown-link observations y_i = f_i(a_i^T x*), then corruption.
+    """Unknown-link measurement vector y_i = f_i(a_i^T x*), then corruption.
 
     The signal must have unit norm (its scale is not identifiable under an
     unknown link); per-sample link randomness is i.i.d.
@@ -149,25 +135,20 @@ def observe_sim(link, op, x_star, seed):
     if abs(np.linalg.norm(x_star) - 1.0) > 1e-9:
         raise ValueError("observe_sim requires a unit-norm signal")
     t = sensing.apply(op, x_star)
-    y_clean = link_eval(link, t, seed=derive_seed(seed, "link"))
-    y_tilde = corrupt(y_clean, link.tau, derive_seed(seed, "corrupt"))
-    return Observation(y_tilde, y_clean, tau_used=link.tau)
+    y = link_eval(link, t, seed=derive_seed(seed, "link"))
+    return corrupt(y, link.tau, derive_seed(seed, "corrupt"))
 
 
 def observe_known(link, op, x_star, seed):
-    """Known-link observations y_i = f(a_i^T x*) + eta_i, then corruption.
+    """Known-link measurement vector y_i = f(a_i^T x*) + eta_i, then corruption.
 
     No norm constraint on the signal. eta_i are i.i.d. N(0, sigma^2).
     """
     if not link.differentiable:
         raise UnsupportedOperationError("known-link model needs a differentiable link")
-    x_star = np.asarray(x_star, dtype=float)
-    t = sensing.apply(op, x_star)
-    noise_seed = derive_seed(seed, "noise")
-    eta = np.random.default_rng(noise_seed).standard_normal(op.n) * link.sigma
-    y_clean = link_eval(link, t) + eta
-    y_tilde = corrupt(y_clean, link.tau, derive_seed(seed, "corrupt"))
-    return Observation(y_tilde, y_clean, tau_used=link.tau)
+    eta = np.random.default_rng(derive_seed(seed, "noise")).standard_normal(op.n)
+    y = link_eval(link, sensing.apply(op, x_star)) + eta * link.sigma
+    return corrupt(y, link.tau, derive_seed(seed, "corrupt"))
 
 
 def corrupt(y, tau, seed):

@@ -56,26 +56,24 @@ def project(decoder, x, cfg, seed, warm_start=None):
     x = np.asarray(x, dtype=float)
     if x.shape != (decoder.ambient_dim,):
         raise ValueError(f"expected ambient vector of length {decoder.ambient_dim}")
-    return _project_rows(decoder, x[None], cfg, [seed], [warm_start])[0][0]
+    start = _start_latents(decoder, cfg, [seed], "restart", [warm_start])
+    return _project_rows(decoder, x[None], cfg, start)[0][0]
 
 
-def _project_rows(decoder, x, cfg, seeds, warm_starts, chains=None):
-    """``project`` of every row of x, (T, p), each with its own seed and
-    warm start. The T * cfg.restarts descents advance as one batch, and
-    each target keeps the best of its own restarts. Given ``chains``, the
-    end ``_Points`` of an earlier call on T targets, each descent starts
-    where that one ended instead, and seeds and warm starts go unread.
-    Returns the results and the end ``_Points`` of every descent."""
+def _project_rows(decoder, x, cfg, start):
+    """``project`` of every row of x, (T, p). The T * cfg.restarts descents
+    advance as one batch from ``start``: their start latents, restarts
+    consecutive rows per target, or the end ``_Points`` of an earlier call
+    on T targets, from which each descent resumes. Each target keeps the
+    best of its own restarts. Returns the results and the end ``_Points``
+    of every descent."""
     targets = x[_owners(len(x), cfg.restarts)]
 
     def objective(fz, rows):
         d = fz - targets[rows]
         return 0.5 * np.add.reduce(d * d, 1), d
 
-    if chains is None:
-        chains = np.concatenate([_start_latents(decoder, cfg, s, "restart", w)
-                                 for s, w in zip(seeds, warm_starts)])
-    ends, res, oob = _descend(decoder, cfg, chains, objective)
+    ends, res, oob = _descend(decoder, cfg, start, objective)
     best = _best_rows(res, cfg.restarts)
     z_hat, x_hat = ends.z[best], ends.fz[best]  # copies: descents move ends
     return [ProjectionResult(z_hat[t], x_hat[t],
@@ -84,18 +82,20 @@ def _project_rows(decoder, x, cfg, seeds, warm_starts, chains=None):
             for t, i in enumerate(best)], ends
 
 
-def _start_latents(decoder, cfg, seed, label, warm_start):
-    """Initial latent of every restart, one per row, clipped to the ball:
-    the warm start, when given, for restart 0, and a standard Gaussian
-    drawn from derive_seed(seed, label, i) for each other restart i."""
+def _start_latents(decoder, cfg, seeds, label, warm_starts):
+    """Initial latents of every restart of every seed, cfg.restarts
+    consecutive rows per seed, clipped to the ball: the seed's warm start,
+    when given, for restart 0, and a standard Gaussian drawn from
+    derive_seed(seed, label, i) for each other restart i."""
     rows = []
-    for i in range(cfg.restarts):
-        if i == 0 and warm_start is not None:
-            z = np.asarray(warm_start, dtype=float)
-        else:
-            rng = np.random.default_rng(derive_seed(seed, label, i))
-            z = rng.standard_normal(decoder.latent_dim)
-        rows.append(_clip_rows(z, np.linalg.norm(z), decoder.latent_radius))
+    for seed, warm_start in zip(seeds, warm_starts):
+        for i in range(cfg.restarts):
+            if i == 0 and warm_start is not None:
+                z = np.asarray(warm_start, dtype=float)
+            else:
+                rng = np.random.default_rng(derive_seed(seed, label, i))
+                z = rng.standard_normal(decoder.latent_dim)
+            rows.append(_clip_rows(z, np.linalg.norm(z), decoder.latent_radius))
     return np.array(rows)
 
 
@@ -203,18 +203,15 @@ def _owners(targets, restarts):
 
 
 def _best_rows(values, restarts):
-    """Row of the first lowest value within each target's restarts."""
+    """Row of the first lowest value within each target's restarts. A
+    non-finite value ranks last, so it is chosen only when none of its
+    target's values is finite."""
     values = np.asarray(values).reshape(-1, restarts)
-    return np.arange(len(values)) * restarts + _first_min(values, axis=1)
+    first = np.argmin(np.where(np.isfinite(values), values, np.inf), axis=1)
+    return np.arange(len(values)) * restarts + first
 
 
 def _clip_rows(z, nrm, r):
     """Rows of z (or the vector z) with norm nrm above r scaled onto the
     ball; the others are multiplied by exactly 1."""
     return z * (r / np.maximum(nrm, r))[..., None]
-
-
-def _first_min(values, axis=None):
-    """Index of the first lowest value along axis. A non-finite value ranks
-    last, so it is chosen only when no value is finite."""
-    return np.argmin(np.where(np.isfinite(values), values, np.inf), axis=axis)

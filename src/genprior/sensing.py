@@ -22,7 +22,7 @@ __all__ = [
 KINDS = ("dense_gaussian", "partial_circulant")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class SensingOperator:
     kind: str
     n: int
@@ -33,8 +33,7 @@ class SensingOperator:
     signs: np.ndarray | None = None   # +-1 column flips xi (length p)
     omega: np.ndarray | None = None   # sorted row subset, |omega| = n
     # rfft(g), derived from gen once; every circulant product reads it
-    spectrum: np.ndarray | None = field(default=None, init=False, repr=False,
-                                        compare=False)
+    spectrum: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:

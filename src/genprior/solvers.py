@@ -216,7 +216,9 @@ def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
     repeat it, so the trajectories repeat its record to the end instead."""
     x = np.array([_initial_point(decoder, cfg, s) for s in seeds])
     trajs = [Trajectory() for _ in seeds]
-    chains = None
+    chains = projection._start_latents(
+        decoder, cfg.projection, [derive_seed(s, "project", 0) for s in seeds],
+        "restart", [None] * len(seeds))
     for t in range(cfg.iterations + 1):
         fits = [_fit(op, y, link, xt) for op, y, xt in zip(ops, ys, x)]
         for xt, traj, (loss, _), tgt in zip(x, trajs, fits, targets):
@@ -224,13 +226,9 @@ def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
         if t == cfg.iterations:
             break
         v = x - cfg.step_size * np.array([g for _, g in fits])
-        starts = None if chains is None else chains.z.copy()
-        # seeds start the first projection only; later ones resume chains
-        pseeds = seeds if chains is None else ()
-        pres, chains = projection._project_rows(
-            decoder, v, cfg.projection,
-            [derive_seed(s, "project", t) for s in pseeds], [None] * len(v),
-            chains)
+        starts = None if t == 0 else chains.z.copy()
+        pres, chains = projection._project_rows(decoder, v, cfg.projection,
+                                                chains)
         x_next = np.array([r.x_hat for r in pres])
         if (starts is not None and np.array_equal(x_next, x)
                 and np.array_equal(chains.z, starts)):
@@ -245,9 +243,8 @@ def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
 def _csgm_group(ops, ys, decoder, cfg, seeds, targets, warm_starts):
     """Latent descent for T trials as one batch of T * restarts rows."""
     pcfg = cfg.projection
-    z0 = np.concatenate([
-        projection._start_latents(decoder, pcfg, s, "csgm-restart", w)
-        for s, w in zip(seeds, warm_starts)])
+    z0 = projection._start_latents(decoder, pcfg, seeds, "csgm-restart",
+                                   warm_starts)
     owner = projection._owners(len(ops), pcfg.restarts)
     trajs = [Trajectory() for _ in z0]
 

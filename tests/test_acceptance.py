@@ -116,8 +116,8 @@ def test_criterion_3_exact_projection_convergence():
         x_star, _ = analysis.plant_unit_signal(dec, derive_seed(3, "sig", seed))
         op = sensing.sensing_new("dense_gaussian", 120, 256,
                                  derive_seed(3, "op", seed))
-        obs = measurement.observe_sim(measurement.linear_link(), op, x_star,
-                                      derive_seed(3, "obs", seed))
+        y = measurement.observe_sim(measurement.linear_link(), op, x_star,
+                                    derive_seed(3, "obs", seed))
         all_hit = True
         for i in range(10):
             rng = np.random.default_rng(derive_seed(3, "init", 100 * seed + i))
@@ -125,7 +125,7 @@ def test_criterion_3_exact_projection_convergence():
             cfg = SolverConfig(step_size=1.0, iterations=50,
                                projection=ProjectionConfig(),
                                x0_mode="given", x0=x0, seed=i)
-            _, traj = solvers.pgd_glasso(op, obs.y_tilde, dec, cfg,
+            _, traj = solvers.pgd_glasso(op, y, dec, cfg,
                                          target=x_star)
             errs = np.asarray(traj.error_to_target)
             if not (errs < 1e-8).any():

@@ -315,7 +315,7 @@ def test_batched_central_differences_match_serial_within_roundoff(seed):
             (None, lambda u: solvers.loss_glasso(op, y, u)),
             (cosine, lambda u: solvers.loss_nlasso(op, y, cosine, u))):
         batched = analysis._central_differences(
-            lambda u: analysis._losses(op, y, link, u), x, h)
+            lambda u: analysis._losses(op, y, (link,), u)[:, 0], x, h)
         serial = oracles.central_differences(loss, x, h)
         assert np.all(np.abs(batched - serial) <= bound)
 
@@ -404,7 +404,7 @@ def test_check_products_stay_within_the_cell_budget(monkeypatch, n):
         (4, lambda: analysis.polarization_check(op, 40, seed=1)),
         (1, lambda: analysis.jle_check(op, np.ones((40, p)), eps=0.5)),
         (1, lambda: analysis._central_differences(
-            lambda u: analysis._losses(op, np.zeros(n), None, u),
+            lambda u: analysis._losses(op, np.zeros(n), (None,), u),
             np.ones(p), 1e-6)),
     ]
     for c, run in runs:

@@ -603,6 +603,17 @@ class TestModel:
          "family"),
         (["--family", "orthonormal_linear", "--scale", "1.0"],
          "config error: --scale: not read by the orthonormal_linear family"),
+        # layers of more than WEIGHT_CAP weights, in every family
+        (["--k", "4", "--hidden", "100000", "--p", "10000000"],
+         "config error: model new: layer widths [4, 100000, 10000000] (k, "
+         "hidden dims, p) hold 1000000400000 weights, above the cap of "
+         "134217728\n"),
+        (["--family", "orthonormal_linear", "--k", "20", "--p", "10000000"],
+         "config error: model new: layer widths [20, 10000000] (k, hidden "
+         "dims, p) hold 200000000 weights, above the cap of 134217728\n"),
+        (["--family", "identity", "--k", "20000"],
+         "config error: model new: layer widths [20000, 20000] (k, hidden "
+         "dims, p) hold 400000000 weights, above the cap of 134217728\n"),
     ])
     def test_new_bad_flag(self, capsys, argv, prefix):
         assert cli.main(["model", "new", *argv]) == 2
@@ -848,6 +859,14 @@ class TestConfigErrors:
                   "sensing": {"kind": "partial_circulant", "n": 3},
                   "experiment.grid": [3, 50]},
          "experiment: grid: need 1 <= n <= 3, got 50"),
+        # a decoder within its cap, but a dense operator of n * p cells
+        # above DENSE_CAP: n <= 2**27 // p
+        ("solve", {"decoder": {"family": "mlp", "k": 1, "p": 10 ** 6,
+                               "r": 1.0}, "sensing.n": 100_000},
+         "sensing: n: need 1 <= n <= 134, got 100000"),
+        ("rate", {"decoder": {"family": "mlp", "k": 1, "p": 10 ** 6,
+                              "r": 1.0}, "experiment.grid": [40, 100_000]},
+         "experiment: grid: need 1 <= n <= 134, got 100000"),
     ])
     def test_size_rejected_before_any_draw(self, tmp_path, capsys,
                                            monkeypatch, command, keys,

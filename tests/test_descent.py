@@ -67,7 +67,7 @@ def test_batch_matches_rows_alone(fit, activation):
         label, objective, metric, measured = _fit(dec, fit, x)
 
         for warm in (None, edge):
-            z0 = projection._start_latents(dec, cfg, restarts, label, warm)
+            z0 = projection._start_latents(dec, cfg, [restarts], label, [warm])
             ends, val, oob = projection._descend(dec, cfg, z0, objective,
                                                  metric)
             z = ends.z
@@ -78,7 +78,7 @@ def test_batch_matches_rows_alone(fit, activation):
                 assert np.max(np.abs(ends.fz[i] - ei.fz[0])) <= TOL
                 assert abs(val[i] - vi[0]) <= TOL
                 assert oob[i] == oi[0]
-            i = projection._first_min(val)
+            i = projection._best_rows(val, restarts)[0]
             if measured is None:
                 got = projection.project(dec, x, cfg, seed=restarts,
                                          warm_start=warm)
@@ -118,10 +118,13 @@ def test_nan_warm_start_never_wins_csgm():
 
 
 def test_first_min_ranks_non_finite_last():
-    first = projection._first_min
+    def first(values):  # the best row of a single target
+        return projection._best_rows(values, len(values))[0]
     assert first(np.array([np.nan, 2.0, 1.0])) == 2
     assert first(np.array([np.inf, -np.inf, 3.0])) == 2
     assert first(np.array([1.0, 1.0])) == 0
     assert first(np.array([np.nan, np.nan])) == 0
-    cols = first(np.array([[np.nan, 5.0], [1.0, 5.0], [1.0, 4.0]]), axis=0)
-    assert list(cols) == [1, 2]
+    # two targets of three restarts each: rows 0-2 and 3-5
+    rows = projection._best_rows(np.array([np.nan, 1.0, 1.0, 5.0, 5.0, 4.0]),
+                                 3)
+    assert list(rows) == [1, 5]

@@ -97,8 +97,9 @@ def test_result_stays_in_ball(seed, k, activation, restarts, scale, warm):
     x = scale * rng.standard_normal((2, dec.ambient_dim))
     warms = [scale * rng.standard_normal(k) if warm else None, None]
     cfg = ProjectionConfig(restarts=restarts)
-    for res in projection._project_rows(dec, x, cfg, [seed, seed + 1],
-                                        warms)[0]:
+    start = projection._start_latents(dec, cfg, [seed, seed + 1], "restart",
+                                      warms)
+    for res in projection._project_rows(dec, x, cfg, start)[0]:
         assert np.linalg.norm(res.z_hat) <= dec.latent_radius + 1e-12
 
 
@@ -108,9 +109,10 @@ def test_nan_target_row_freezes_and_leaves_the_others_alone():
     x = rng.standard_normal((3, dec.ambient_dim))
     x[1] = np.nan
     cfg = ProjectionConfig(restarts=2)
-    got = projection._project_rows(dec, x, cfg, [4, 5, 6], [None] * 3)[0]
-    start = projection._start_latents(dec, cfg, 5, "restart", None)
-    assert np.array_equal(got[1].z_hat, start[0])
+    start = projection._start_latents(dec, cfg, [4, 5, 6], "restart",
+                                      [None] * 3)
+    got = projection._project_rows(dec, x, cfg, start)[0]
+    assert np.array_equal(got[1].z_hat, start[2])
     assert got[1].out_of_ball_steps == 0 and np.isnan(got[1].residual)
     for t in (0, 2):
         solo = projection.project(dec, x[t], cfg, seed=4 + t)
@@ -124,7 +126,7 @@ def test_batch_with_no_finite_row_returns_its_starts(restarts):
     dec = genmodel.decoder_new(101, 8, [32], 256, 3.0)
     cfg = ProjectionConfig(restarts=restarts)
     res = projection.project(dec, np.full(256, np.nan), cfg, 0)
-    start = projection._start_latents(dec, cfg, 0, "restart", None)
+    start = projection._start_latents(dec, cfg, [0], "restart", [None])
     assert np.array_equal(res.z_hat, start[0])
     assert res.restart_index == 0 and res.out_of_ball_steps == 0
     assert np.isnan(res.residual)
@@ -139,8 +141,8 @@ def test_csgm_with_no_finite_row_returns_its_start():
     x_hat, traj = solvers.csgm_baseline(op, np.full(op.n, np.nan), dec, cfg,
                                         warm_start=z0)
     # the output of z0 as decoded with the other restart's start
-    starts = projection._start_latents(dec, cfg.projection, cfg.seed,
-                                       "csgm-restart", z0)
+    starts = projection._start_latents(dec, cfg.projection, [cfg.seed],
+                                       "csgm-restart", [z0])
     assert np.array_equal(x_hat, genmodel._forward_cached(dec, starts)[0][0])
     assert len(traj.loss_values) == 1 and np.isnan(traj.loss_values[0])
 
@@ -294,9 +296,9 @@ def test_pgd_evaluates_each_latent_once(monkeypatch, restarts):
     # from where it left its chains, moves nothing, and the trajectory
     # repeats its record to the end
     assert 1 < len(calls) < 30 and len(traj.loss_values) == 31
-    (_, v, pcfg, seeds, warm, chains), last = calls[-1]
+    (_, v, pcfg, chains), last = calls[-1]
     ends = chains.z.copy()
-    again, moved = project_rows(dec, v, pcfg, seeds, warm, chains)
+    again, moved = project_rows(dec, v, pcfg, chains)
     assert np.array_equal(moved.z, ends)
     assert np.array_equal(again[0].x_hat, last[0][1])
     assert np.array_equal(x_hat, last[0][1])

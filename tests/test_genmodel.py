@@ -108,6 +108,30 @@ class TestConstruction:
         for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
             assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
 
+    def test_equality_and_hash_are_by_identity(self):
+        a = genmodel.decoder_new(1, 2, [3], 4, 1.0)
+        b = genmodel.decoder_new(1, 2, [3], 4, 1.0)
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+    @pytest.mark.parametrize("build, widths", [
+        (lambda: genmodel.decoder_new(0, 4, [100_000], 10 ** 7, 1.0),
+         [4, 100_000, 10 ** 7]),
+        (lambda: genmodel.orthonormal_linear_decoder(0, 20, 10 ** 7, 1.0),
+         [20, 10 ** 7]),
+        (lambda: genmodel.identity_decoder(20_000), [20_000, 20_000])])
+    def test_weights_above_the_cap_rejected_before_any_draw(
+            self, monkeypatch, build, widths):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a weight was drawn")
+        monkeypatch.setattr(genmodel.np.random, "default_rng", no_draw)
+        monkeypatch.setattr(genmodel.np, "eye", no_draw)
+        count = sum(a * b for a, b in zip(widths[:-1], widths[1:]))
+        assert count > genmodel.WEIGHT_CAP
+        with pytest.raises(ValueError, match=rf"^layer widths \[{widths[0]}, "
+                           rf".* hold {count} weights, above the cap of "):
+            build()
+
 
 class TestForward:
     def test_matches_independent_chain(self):

@@ -9,7 +9,6 @@ best-seen tracking settles near-ties by round-off.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,10 +83,8 @@ def test_non_finite_trial_leaves_the_others_alone(kind, observation, step,
 
     def poison(observe):
         def wrapper(link, op, x_star, seed):
-            obs = observe(link, op, x_star, seed)
-            if seed == poisoned:
-                obs = replace(obs, y_tilde=np.full(op.n, np.nan))
-            return obs
+            y = observe(link, op, x_star, seed)
+            return np.full(op.n, np.nan) if seed == poisoned else y
         return wrapper
 
     for name in ("observe_sim", "observe_known"):
@@ -177,7 +174,9 @@ def test_batched_projection_stays_in_ball(targets, k, restarts, scale, seed):
     x = scale * rng.standard_normal((targets, dec.ambient_dim))
     warm = [scale * rng.standard_normal(k) if t % 2 else None
             for t in range(targets)]
-    out = projection._project_rows(dec, x, cfg, list(range(targets)), warm)[0]
+    start = projection._start_latents(dec, cfg, range(targets), "restart",
+                                      warm)
+    out = projection._project_rows(dec, x, cfg, start)[0]
     assert len(out) == targets
     for res in out:
         assert np.linalg.norm(res.z_hat) <= dec.latent_radius * (1 + 1e-12)

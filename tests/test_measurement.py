@@ -156,8 +156,8 @@ class TestObserveSim:
     def test_linear_link_no_corruption(self):
         op, x = self._setup()
         link = measurement.linear_link()
-        obs = measurement.observe_sim(link, op, x, 3)
-        assert np.array_equal(obs.y_tilde, sensing.apply(op, x))
+        y = measurement.observe_sim(link, op, x, 3)
+        assert np.array_equal(y, sensing.apply(op, x))
 
     def test_requires_unit_norm(self):
         op, x = self._setup()
@@ -167,41 +167,51 @@ class TestObserveSim:
     def test_sign_outputs_binary(self):
         op, x = self._setup()
         link = measurement.sign_dithered_link(0.1)
-        obs = measurement.observe_sim(link, op, x, 3)
-        assert set(np.unique(obs.y_tilde)) <= {-1.0, 1.0}
+        y = measurement.observe_sim(link, op, x, 3)
+        assert set(np.unique(y)) <= {-1.0, 1.0}
 
     def test_sign_empirical_gain(self):
         # mean of y_i (a_i^T x*) over many rows estimates the link gain
         op, x = self._setup(n=100_000, p=8, seed=2)
         link = measurement.sign_dithered_link(0.1)
-        obs = measurement.observe_sim(link, op, x, 11)
+        y = measurement.observe_sim(link, op, x, 11)  # tau = 0: uncorrupted
         t = sensing.apply(op, x)
-        assert abs(float(np.mean(obs.y_clean * t)) - link.mu) <= 0.01
+        assert abs(float(np.mean(y * t)) - link.mu) <= 0.01
 
     def test_corruption_budget_invariant(self):
+        # the same seed without corruption gives the clean measurements
         op, x = self._setup()
-        link = measurement.linear_link(tau=0.3)
-        obs = measurement.observe_sim(link, op, x, 5)
-        gap = np.linalg.norm(obs.y_tilde - obs.y_clean) / np.sqrt(op.n)
-        assert gap <= 0.3 + 1e-12
-        assert obs.tau_used == 0.3
+        y = measurement.observe_sim(measurement.linear_link(tau=0.3), op, x, 5)
+        clean = measurement.observe_sim(measurement.linear_link(), op, x, 5)
+        gap = np.linalg.norm(y - clean) / np.sqrt(op.n)
+        assert 0 < gap <= 0.3 + 1e-12
 
 
 class TestObserveKnown:
     def test_noiseless_linear(self):
         op = sensing.sensing_new("dense_gaussian", 10, 6, 1)
         x = np.random.default_rng(2).standard_normal(6) * 3.0  # no norm constraint
-        obs = measurement.observe_known(measurement.linear_link(), op, x, 4)
-        assert np.array_equal(obs.y_tilde, sensing.apply(op, x))
+        y = measurement.observe_known(measurement.linear_link(), op, x, 4)
+        assert np.array_equal(y, sensing.apply(op, x))
 
     def test_gaussian_noise_level(self):
         op = sensing.sensing_new("dense_gaussian", 50_000, 4, 3)
         x = np.random.default_rng(4).standard_normal(4)
         link = measurement.shifted_cosine_link(sigma=0.1)
-        obs = measurement.observe_known(link, op, x, 6)
+        y = measurement.observe_known(link, op, x, 6)  # tau = 0: uncorrupted
         t = sensing.apply(op, x)
-        resid = obs.y_clean - measurement.link_eval(link, t)
+        resid = y - measurement.link_eval(link, t)
         assert abs(np.std(resid) - 0.1) <= 0.005
+
+    def test_corruption_budget_invariant(self):
+        # the same seed without corruption draws the same noise
+        op = sensing.sensing_new("dense_gaussian", 32, 16, 0)
+        x = np.random.default_rng(1).standard_normal(16) * 3.0
+        y, clean = (measurement.observe_known(
+            measurement.shifted_cosine_link(sigma=0.1, tau=tau), op, x, 5)
+            for tau in (0.3, 0.0))
+        gap = np.linalg.norm(y - clean) / np.sqrt(op.n)
+        assert 0 < gap <= 0.3 + 1e-12
 
     def test_sign_link_rejected(self):
         op = sensing.sensing_new("dense_gaussian", 10, 6, 1)

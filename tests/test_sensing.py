@@ -48,6 +48,13 @@ class TestConstruction:
         assert np.array_equal(a.signs, b.signs)
         assert np.array_equal(a.omega, b.omega)
 
+    @pytest.mark.parametrize("kind", ["dense_gaussian", "partial_circulant"])
+    def test_equality_and_hash_are_by_identity(self, kind):
+        a = sensing.sensing_new(kind, 5, 16, 3)
+        b = sensing.sensing_new(kind, 5, 16, 3)
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
 
 class TestSpectrum:
     def test_hand_built_operator_derives_the_same_spectrum(self):

@@ -116,8 +116,8 @@ def _planted_linear_instance(seed, k=8, p=256, n=178, tau=0.0):
     x_star, _ = analysis.plant_unit_signal(dec, seed + 1000)
     op = sensing.sensing_new("dense_gaussian", n, p, seed + 2000)
     link = measurement.linear_link(tau=tau)
-    obs = measurement.observe_sim(link, op, x_star, seed + 3000)
-    return dec, op, obs, x_star
+    y = measurement.observe_sim(link, op, x_star, seed + 3000)
+    return dec, op, y, x_star
 
 
 class TestPgdGlasso:
@@ -130,9 +130,9 @@ class TestPgdGlasso:
     def test_exact_projection_geometric_convergence(self):
         # noiseless linear SIM, exact projection, unit step: the error to the
         # gain-scaled signal must fall below 1e-8 well within 50 iterations
-        dec, op, obs, x_star = _planted_linear_instance(seed=0)
+        dec, op, y, x_star = _planted_linear_instance(seed=0)
         cfg = exact_proj_config(1.0, 50, x0_mode="random_range_point", seed=5)
-        _, traj = solvers.pgd_glasso(op, obs.y_tilde, dec, cfg, target=x_star)
+        _, traj = solvers.pgd_glasso(op, y, dec, cfg, target=x_star)
         errs = np.asarray(traj.error_to_target)
         assert (errs < 1e-8).any()
         slope, _ = analysis.contraction_fit(traj, 1e-8)
@@ -141,11 +141,11 @@ class TestPgdGlasso:
     def test_iterates_feasible(self):
         # the final iterate of a T-iteration run is iterate T of any longer
         # run from the same start, so iterates 1..5 are checked one by one
-        dec, op, obs, _ = _planted_linear_instance(seed=1, n=120)
+        dec, op, y, _ = _planted_linear_instance(seed=1, n=120)
         w = dec.layers[0][0]
         for iterations in range(1, 6):
             cfg = exact_proj_config(1.0, iterations, seed=2)
-            x, _ = solvers.pgd_glasso(op, obs.y_tilde, dec, cfg)
+            x, _ = solvers.pgd_glasso(op, y, dec, cfg)
             # in range: x = W W^T x, and the latent is inside the ball
             assert np.linalg.norm(x - w @ (w.T @ x)) <= 1e-10
             assert np.linalg.norm(w.T @ x) <= dec.latent_radius + 1e-12
@@ -154,14 +154,14 @@ class TestPgdGlasso:
         # per-step error ratios stay below 2 mu1(1, eps_hat) + 0.05, where
         # eps_hat is the measured isometry defect of A on the range subspace
         for seed in range(20):
-            dec, op, obs, x_star = _planted_linear_instance(seed=seed, n=360)
+            dec, op, y, x_star = _planted_linear_instance(seed=seed, n=360)
             w = dec.layers[0][0]
             s = np.linalg.svd(op.matrix @ w, compute_uv=False) / math.sqrt(op.n)
             eps_hat = max(s.max() - 1.0, 1.0 - s.min())
             bound = 2 * solvers.mu1_of(1.0, eps_hat) + 0.05
             cfg = exact_proj_config(1.0, 40, x0_mode="random_range_point",
                                     seed=seed)
-            _, traj = solvers.pgd_glasso(op, obs.y_tilde, dec, cfg, target=x_star)
+            _, traj = solvers.pgd_glasso(op, y, dec, cfg, target=x_star)
             errs = traj.error_to_target
             for e0, e1 in zip(errs[:-1], errs[1:]):
                 if e0 < 1e-10:
@@ -171,21 +171,21 @@ class TestPgdGlasso:
     def test_arbitrary_initialization_same_floor(self):
         dec, op, _, x_star = _planted_linear_instance(seed=3, n=200)
         link = measurement.linear_link(sigma=0.0, tau=0.05)
-        obs = measurement.observe_sim(link, op, x_star, 77)
+        y = measurement.observe_sim(link, op, x_star, 77)
         finals = []
         rng = np.random.default_rng(9)
         for i in range(10):
             x0 = rng.standard_normal(256) * rng.uniform(0.1, 10)
             cfg = exact_proj_config(1.0, 60, x0_mode="given", seed=i, x0=x0)
-            _, traj = solvers.pgd_glasso(op, obs.y_tilde, dec, cfg, target=x_star)
+            _, traj = solvers.pgd_glasso(op, y, dec, cfg, target=x_star)
             finals.append(traj.error_to_target[-1])
         floor = min(finals)
         assert max(finals) <= 10 * floor
 
     def test_trajectory_lengths(self):
-        dec, op, obs, x_star = _planted_linear_instance(seed=4, n=64)
+        dec, op, y, x_star = _planted_linear_instance(seed=4, n=64)
         cfg = exact_proj_config(1.0, 7, seed=0)
-        _, traj = solvers.pgd_glasso(op, obs.y_tilde, dec, cfg, target=x_star)
+        _, traj = solvers.pgd_glasso(op, y, dec, cfg, target=x_star)
         assert len(traj.loss_values) == 8
         assert len(traj.error_to_target) == 8
         assert len(traj.contraction_ratios) == 7
@@ -198,13 +198,13 @@ class TestPgdNlasso:
         assert solvers.ZETA_THEORY == 0.23
 
     def test_linear_link_reproduces_glasso_bitwise(self):
-        dec, op, obs, _ = _planted_linear_instance(seed=6, n=100)
+        dec, op, y, _ = _planted_linear_instance(seed=6, n=100)
         link = measurement.linear_link()
         cfg = SolverConfig(step_size=1.0, iterations=10,
                            projection=ProjectionConfig(steps=40, restarts=2),
                            x0_mode="zero", seed=123)
-        xg, tg = solvers.pgd_glasso(op, obs.y_tilde, dec, cfg)
-        xn, tn = solvers.pgd_nlasso(op, obs.y_tilde, link, dec, cfg)
+        xg, tg = solvers.pgd_glasso(op, y, dec, cfg)
+        xn, tn = solvers.pgd_nlasso(op, y, link, dec, cfg)
         assert np.array_equal(xg, xn)
         assert tg.loss_values == tn.loss_values
 
@@ -217,10 +217,10 @@ class TestPgdNlasso:
         x_star = genmodel.forward(dec, z_star)
         op = sensing.sensing_new("dense_gaussian", 200, 128, 27)
         link = measurement.shifted_cosine_link()
-        obs = measurement.observe_known(link, op, x_star, 37)
+        y = measurement.observe_known(link, op, x_star, 37)
         cfg = exact_proj_config(solvers.ZETA_THEORY, 60,
                                 x0_mode="random_range_point", seed=8)
-        _, traj = solvers.pgd_nlasso(op, obs.y_tilde, link, dec, cfg,
+        _, traj = solvers.pgd_nlasso(op, y, link, dec, cfg,
                                      target=x_star)
         errs = np.asarray(traj.error_to_target)
         assert errs[-1] <= 1e-6
@@ -259,17 +259,17 @@ class TestPgdNlasso:
             assert max(errors) - min(errors) <= 1e-8, (i, errors)
 
     def test_sign_link_rejected(self):
-        dec, op, obs, _ = _planted_linear_instance(seed=8, n=50)
+        dec, op, y, _ = _planted_linear_instance(seed=8, n=50)
         link = measurement.sign_dithered_link(0.1)
         cfg = exact_proj_config(0.2, 3, seed=0)
         with pytest.raises(UnsupportedOperationError):
-            solvers.pgd_nlasso(op, obs.y_tilde, link, dec, cfg)
+            solvers.pgd_nlasso(op, y, link, dec, cfg)
 
 
 @pytest.mark.parametrize("kind", ["pgd_glasso", "pgd_nlasso"])
 def test_one_operator_product_per_iterate(monkeypatch, kind):
     # each iterate's loss and the step from it share one product A x
-    dec, op, obs, _ = _planted_linear_instance(seed=11, n=64)
+    dec, op, y, _ = _planted_linear_instance(seed=11, n=64)
     apply, calls = sensing.apply, []
     monkeypatch.setattr(sensing, "apply",
                         lambda op, x: calls.append(x) or apply(op, x))
@@ -277,7 +277,7 @@ def test_one_operator_product_per_iterate(monkeypatch, kind):
     for iterations in (1, 4):
         calls.clear()
         cfg = exact_proj_config(0.2, iterations, seed=0)
-        getattr(solvers, kind)(op, obs.y_tilde, *links, dec, cfg)
+        getattr(solvers, kind)(op, y, *links, dec, cfg)
         assert len(calls) == iterations + 1
 
 
@@ -408,9 +408,9 @@ class TestCsgm:
 
 class TestTrajectoryCsv:
     def test_schema(self, tmp_path):
-        dec, op, obs, x_star = _planted_linear_instance(seed=10, n=64)
+        dec, op, y, x_star = _planted_linear_instance(seed=10, n=64)
         cfg = exact_proj_config(1.0, 4, seed=0)
-        _, traj = solvers.pgd_glasso(op, obs.y_tilde, dec, cfg, target=x_star)
+        _, traj = solvers.pgd_glasso(op, y, dec, cfg, target=x_star)
         path = tmp_path / "traj.csv"
         cli._write_trajectory_csv(traj, path)
         lines = path.read_text().strip().splitlines()
