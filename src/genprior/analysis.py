@@ -51,6 +51,7 @@ FD_STEP = 1e-6  # central-difference step in ambient space
 VJP_STEP = 1e-5  # central-difference step in latent space
 N_CAP = 100_000  # largest measurement count of a solve or a rate grid point
 DENSE_CAP = 2 ** 27  # cells n * p of one dense operator: 1 GiB of float64
+JACOBIAN_CAP = 2 ** 27  # restarts * k * p: one target's descent Jacobians
 OPERATOR_BUDGET = 2 ** 19  # dense operator cells (4 MiB) of one trial group
 CHECK_CELLS = 2 ** 16  # floats of the points and measurements of a check block
 OBSERVATIONS = ("sim", "known", "auto")  # "auto" follows the solver kind
@@ -295,27 +296,37 @@ def adjoint_check(op, trials, seed):
 def gradient_check(op, link, decoder, points, seed):
     """Central finite differences against the analytic gradients of both
     losses and against the decoder vjp. One trial per random point; a trial
-    fails if any compared coordinate exceeds its relative tolerance."""
+    fails if any compared coordinate exceeds its relative tolerance. Points
+    (x, a latent seed, then v) run in blocks within CHECK_CELLS (stepped
+    points and both losses' measurements), as stacks of the one-point
+    products: the report has the bytes of one point at a time."""
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(op.n)
-    violations = 0
-    worst = 0.0
-    for _ in range(points):
-        x = rng.standard_normal(op.p)
-        # both losses from one product per block of the stepped points
-        fd = _central_differences(lambda u: _losses(op, y, (None, link), u),
-                                  x, FD_STEP)
-        ax = sensing.apply(op, x)  # both gradients from one product
-        dev = max(_rel_dev(fd[:, 0], solvers.grad_glasso(op, y, x, ax)),
-                  _rel_dev(fd[:, 1], solvers.grad_nlasso(op, y, link, x, ax)))
-        z = genmodel.sample_latent(decoder, rng.integers(2 ** 63))
-        v = rng.standard_normal(decoder.ambient_dim)
+
+    def devs(block):
+        x, z, v = map(np.array, zip(*[
+            (rng.standard_normal(op.p),
+             genmodel.sample_latent(decoder, rng.integers(2 ** 63)),
+             rng.standard_normal(decoder.ambient_dim)) for _ in block]))
+        fd = _central_differences(lambda u: _losses(  # one product for all
+            op, y, (None, link), u.reshape(-1, op.p)).reshape(len(x), -1, 2),
+            x, FD_STEP)
+        ax = sensing._apply_each(op, x)  # both gradients from one product
+        dev = _rel_dev(fd, np.dstack([
+            solvers.grad_glasso(op, y, x, ax),
+            solvers.grad_nlasso(op, y, link, x, ax)]))
+        hidden = genmodel._forward_cached(decoder, z[:, None])[1]  # 1-row passes
+        vjp = (v[:, None] @ genmodel._jacobian_cached(
+            decoder, z, [h[:, 0] for h in hidden], each=True))[:, 0]
         vdev = _rel_dev(_central_differences(
-            lambda u: genmodel._forward_cached(decoder, u)[0] @ v, z, VJP_STEP),
-            genmodel.vjp(decoder, z, v))
-        worst = max(worst, dev, vdev)
-        if dev > GRADIENT_TOL or vdev > VJP_TOL:
-            violations += 1
+            lambda u: (genmodel._forward_cached(decoder, u)[0]
+                       @ v[:, :, None])[..., 0], z, VJP_STEP), vjp)
+        return np.stack([dev, vdev], axis=-1)
+
+    dev, vdev = _rowwise(devs, range(points),
+                         2 * op.p * (op.p + 2 * op.n)).reshape(-1, 2).T
+    violations = int(np.count_nonzero((dev > GRADIENT_TOL) | (vdev > VJP_TOL)))
+    worst = float(np.max(np.maximum(dev, vdev), initial=0.0))
     return _finish_report("gradients", points, violations, worst,
                           {"tol": GRADIENT_TOL, "vjp_tol": VJP_TOL, "n": op.n,
                            "p": op.p, "seed": seed, "allowed_violations": 0})
@@ -333,20 +344,21 @@ def _losses(op, y, links, u):
 
 
 def _central_differences(f, x, h):
-    """Central differences with step h at x of a scalar function that f
-    evaluates at each row of a stack of points (or of several, one column
-    each): all 2 len(x) points in one call."""
-    steps = h * np.eye(len(x))
-    values = f(np.concatenate([x + steps, x - steps]))
-    return (values[:len(x)] - values[len(x):]) / (2 * h)
+    """Central differences with step h at x, or at each row x_i of a stack x,
+    of a scalar function that f evaluates at each point of a stack (or of
+    several, one column each): all 2 p points, x_i +- h e_j, in one call."""
+    steps = h * np.eye(x.shape[-1])
+    values = f(x[..., None, :] + np.concatenate([steps, -steps]))
+    plus, minus = np.split(values, 2, axis=x.ndim - 1)
+    return (plus - minus) / (2 * h)
 
 
 def _rel_dev(fd, grad):
     """Worst per-coordinate relative deviation of central differences fd
-    from the analytic gradient grad; tiny coordinates are floored so
-    finite-difference roundoff cannot dominate the ratio."""
+    from the analytic gradient grad at each point (axis 0) of a stack; tiny
+    coordinates are floored so finite-difference roundoff cannot dominate."""
     denom = np.maximum(np.abs(grad), 1e-8)
-    return float(np.max(np.abs(fd - grad) / denom))
+    return np.max(np.abs(fd - grad) / denom, axis=tuple(range(1, fd.ndim)))
 
 
 def contraction_fit(traj, floor):

@@ -189,17 +189,19 @@ def _forward_cached(decoder, z):
     return h, hidden
 
 
-def _jacobian_cached(decoder, z, hidden):
+def _jacobian_cached(decoder, z, hidden, each=False):
     """dG/dz at the rows of z, (B, k), as a (B, p, k) stack, by forward
     accumulation. The activation derivative is read off the forward pass's
-    activations: 1 - tanh^2, or relu > 0, so ReLU uses derivative 0 at 0."""
+    activations: 1 - tanh^2, or relu > 0, so ReLU uses derivative 0 at 0.
+    With ``each``, row b's products are its own, bit for bit those of z_b."""
     (w, _), *rest = decoder.layers
     jt = np.broadcast_to(w.T, (len(z),) + w.T.shape)  # rows of J^T, (B, k, d)
     for h, (w, _) in zip(hidden, rest):
         if decoder.activation != "identity":
             tanh = decoder.activation == "tanh"
             jt = jt * (1.0 - h * h if tanh else h > 0)[:, None]
-        jt = (jt.reshape(-1, w.shape[1]) @ w.T).reshape(len(z), -1, w.shape[0])
+        jt = jt @ w.T if each else (jt.reshape(-1, w.shape[1]) @ w.T).reshape(
+            len(z), -1, w.shape[0])
     return np.swapaxes(jt, 1, 2)
 
 

@@ -92,16 +92,16 @@ def _apply_each(op, x):
     product ``apply(op, x_i)``: one gemv per row for a dense operator (a
     gemm rounds differently), and C-contiguous rows, so that a row's dot
     product rounds as the vector's does (``apply`` returns a circulant
-    stack in column order)."""
-    if op.kind == "dense_gaussian":
+    stack in column order). A vector x is ``apply(op, x)`` itself."""
+    if op.kind == "dense_gaussian" and np.ndim(x) > 1:
         return (op.matrix @ _checked(x, op.p)[..., None])[..., 0]
     return np.ascontiguousarray(apply(op, x))
 
 
 def _adjoint_each(op, v):
     """The rows A^T v_i of a stack v, (m, n), each bit for bit the vector
-    product ``adjoint_apply(op, v_i)``."""
-    if op.kind == "dense_gaussian":
+    product ``adjoint_apply(op, v_i)``; a vector v is that product."""
+    if op.kind == "dense_gaussian" and np.ndim(v) > 1:
         return (op.matrix.T @ _checked(v, op.n)[..., None])[..., 0]
     return adjoint_apply(op, v)
 

@@ -88,7 +88,7 @@ def loss_glasso(op, y_tilde, x):
 
 def grad_glasso(op, y_tilde, x, ax=None):
     """(1/n) A^T (A x - y); ``ax``, when given, is A x and is not
-    recomputed."""
+    recomputed. A stack x, (m, p), gives the rows of ``_fit``."""
     return _fit(op, _check_measurements(op, y_tilde), None, x, ax)[1]
 
 
@@ -102,7 +102,7 @@ def loss_nlasso(op, y_tilde, link, x):
 
 def grad_nlasso(op, y_tilde, link, x, ax=None):
     """(1/n) A^T ((f(A x) - y) . f'(A x)); ``ax``, when given, is A x and
-    is not recomputed."""
+    is not recomputed. A stack x, (m, p), gives the rows of ``_fit``."""
     _require_differentiable(link)
     return _fit(op, _check_measurements(op, y_tilde), link, x, ax)[1]
 
@@ -193,17 +193,17 @@ def _solve_group(kind, ops, ys, link, decoder, cfg, seeds, targets,
 
 
 def _fit(op, y, link, x, ax=None):
-    """Loss (1/2n)||f(A x) - y||^2 and its gradient
-    (1/n) A^T ((f(A x) - y) . f'(A x)) from one product A x, or from ``ax``
-    when given; f is the identity when link is None."""
-    t = sensing.apply(op, x) if ax is None else ax
+    """Loss (1/2n)||f(A x) - y||^2 and gradient (1/n) A^T ((f(A x) - y) .
+    f'(A x)) from one product A x, or ``ax`` when given; f is the identity
+    when link is None. A stack x gives rows, bit for bit the calls at each."""
+    t = sensing._apply_each(op, x) if ax is None else ax
     if link is None:
         r = t - y
-        g = sensing.adjoint_apply(op, r)
+        g = sensing._adjoint_each(op, r)
     else:
         r = link_eval(link, t) - y
-        g = sensing.adjoint_apply(op, r * link_deriv(link, t))
-    return float(r @ r) / (2.0 * op.n), g / op.n
+        g = sensing._adjoint_each(op, r * link_deriv(link, t))
+    return np.vecdot(r, r) / (2.0 * op.n), g / op.n
 
 
 def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
@@ -249,11 +249,8 @@ def _csgm_group(ops, ys, decoder, cfg, seeds, targets, warm_starts):
     trajs = [Trajectory() for _ in z0]
 
     def objective(fz, rows):
-        loss = np.empty(len(fz))
-        grad = np.empty_like(fz)
-        for j, (xv, t) in enumerate(zip(fz, owner[rows])):
-            loss[j], grad[j] = _fit(ops[t], ys[t], None, xv)
-        return loss, grad
+        fits = [_fit(ops[t], ys[t], None, x) for x, t in zip(fz, owner[rows])]
+        return np.array([f for f, _ in fits]), np.array([g for _, g in fits])
 
     def metric(jac, rows):  # (A J)^T (A J) / n, on each row's own operator
         aj = [sensing.apply(ops[t], jt) / np.sqrt(ops[t].n)
@@ -262,7 +259,7 @@ def _csgm_group(ops, ys, decoder, cfg, seeds, targets, warm_starts):
 
     def record(rows, fz, loss):
         for i, xv, value in zip(rows, fz, loss):
-            _record(trajs[i], xv, float(value), targets[owner[i]])
+            _record(trajs[i], xv, value, targets[owner[i]])
 
     ends, loss, _ = projection._descend(decoder, pcfg, z0, objective, metric,
                                         record)
@@ -284,7 +281,7 @@ def _initial_point(decoder, cfg, seed):
 
 
 def _record(traj, x, loss, target):
-    traj.loss_values.append(loss)
+    traj.loss_values.append(float(loss))
     if target is not None:
         traj.error_to_target.append(float(np.linalg.norm(x - target)))
 

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from genprior import genmodel, measurement, projection, sensing, solvers
+from genprior import (analysis, genmodel, measurement, projection,
+                      sensing, solvers)
 from genprior.errors import UnsupportedOperationError
 from genprior.seeding import derive_seed
 
@@ -183,6 +184,62 @@ def adjoint_check(op, trials, seed, tol):
         if dev > tol:
             violations += 1
     return violations, worst
+
+
+def gradient_points(op, link, decoder, points, seed):
+    """What ``analysis.gradient_check`` compares at each point, one point at
+    a time as its per-point loop formed them: a list of (x, the central
+    differences of both losses, (p, 2), the two analytic gradients, the
+    central differences of <G(z), v>, the vjp)."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(op.n)
+    rows = []
+    for _ in range(points):
+        x = rng.standard_normal(op.p)
+        fd = point_differences(
+            lambda u: analysis._losses(op, y, (None, link), u), x,
+            analysis.FD_STEP)
+        ax = sensing.apply(op, x)  # one product for both gradients
+        g_lin = sensing.adjoint_apply(op, ax - y) / op.n
+        g_link = sensing.adjoint_apply(
+            op, (measurement.link_eval(link, ax) - y)
+            * measurement.link_deriv(link, ax)) / op.n
+        z = genmodel.sample_latent(decoder, rng.integers(2 ** 63))
+        v = rng.standard_normal(decoder.ambient_dim)
+        vfd = point_differences(
+            lambda u: genmodel._forward_cached(decoder, u)[0] @ v, z,
+            analysis.VJP_STEP)
+        rows.append((x, fd, g_lin, g_link, vfd, genmodel.vjp(decoder, z, v)))
+    return rows
+
+
+def gradient_check(op, link, decoder, points, seed):
+    """(violations, worst_margin) of ``analysis.gradient_check``, one point
+    at a time."""
+    def rel_dev(fd, grad):
+        return float(np.max(np.abs(fd - grad)
+                            / np.maximum(np.abs(grad), 1e-8)))
+
+    violations = 0
+    worst = 0.0
+    for _, fd, g_lin, g_link, vfd, vjp in gradient_points(op, link, decoder,
+                                                          points, seed):
+        dev = max(rel_dev(fd[:, 0], g_lin), rel_dev(fd[:, 1], g_link))
+        vdev = rel_dev(vfd, vjp)
+        worst = max(worst, dev, vdev)
+        if dev > analysis.GRADIENT_TOL or vdev > analysis.VJP_TOL:
+            violations += 1
+    return violations, worst
+
+
+def point_differences(f, x, h):
+    """Central differences with step h at the vector x of a scalar function
+    that f evaluates at each row of a stack (or of several, one column
+    each): the 2 len(x) stepped points x + h e_j, then x - h e_j, in one
+    call, as the gradients check formed them one point at a time."""
+    steps = h * np.eye(len(x))
+    values = f(np.concatenate([x + steps, x - steps]))
+    return (values[:len(x)] - values[len(x):]) / (2 * h)
 
 
 def central_differences(f, x, h):

@@ -241,9 +241,12 @@ def test_mvt_matches_serial_oracle_bitwise(kind, n, p, link):
 
 def test_vector_checks_of_no_trials():
     op = sensing.sensing_new("dense_gaussian", 5, 8, 0)
+    dec = genmodel.decoder_new(1, k=2, hidden_dims=[4], p=8, r=3.0)
     assert analysis.adjoint_check(op, 0, seed=1).worst_margin == 0.0
     assert analysis.mvt_check(op, measurement.linear_link(), 0,
                               seed=1).worst_margin == np.inf
+    assert analysis.gradient_check(op, measurement.linear_link(), dec, 0,
+                                   seed=1).worst_margin == 0.0
 
 
 @pytest.mark.parametrize("kind", sensing.KINDS)
@@ -268,18 +271,68 @@ def test_vector_checks_stay_within_the_cell_budget(monkeypatch, kind, n):
 
 
 def test_gradient_check_applies_the_operator_once_per_point(monkeypatch):
-    # one product A x feeds both analytic gradients, and one product of the
-    # 2p stepped points both losses
+    # every point's x, for both analytic gradients, and each of its 2p
+    # stepped points x +- h e_j, for both losses, is multiplied exactly
+    # once, in one call of each kind per block of points
     dec = genmodel.decoder_new(derive_seed(1, "decoder"), k=4,
                                hidden_dims=[8], p=24, r=3.0)
     op = sensing.sensing_new("dense_gaussian", 40, 24, 1)
-    shapes = []
-    apply = sensing.apply
-    monkeypatch.setattr(sensing, "apply", lambda op, x: shapes.append(
-        np.shape(x)) or apply(op, x))
-    analysis.gradient_check(op, measurement.shifted_cosine_link(), dec,
-                            points=7, seed=1)
-    assert sorted(shapes) == [(24,)] * 7 + [(48, 24)] * 7
+    link = measurement.shifted_cosine_link()
+    steps = analysis.FD_STEP * np.eye(op.p)
+    want = [row for x, *_ in oracles.gradient_points(op, link, dec, 50, 1)
+            for row in (x[None], x + steps, x - steps)]
+    calls = []
+    for name in ("apply", "_apply_each"):
+        real = getattr(sensing, name)
+        monkeypatch.setattr(sensing, name, lambda op, x, real=real: (
+            calls.append(np.atleast_2d(x)) or real(op, x)))
+    analysis.gradient_check(op, link, dec, points=50, seed=1)
+    blocks = -(-50 // analysis._block_len(2 * op.p * (op.p + 2 * op.n)))
+    assert blocks > 1 and len(calls) == 2 * blocks
+    assert (sorted(row.tobytes() for row in np.concatenate(calls))
+            == sorted(row.tobytes() for row in np.concatenate(want)))
+
+
+def hexes(arrays):
+    return [float(value).hex() for a in arrays for value in np.ravel(a)]
+
+
+# (kind, n, p, k): blocks of 13 and of 24 points, and blocks of one point
+# whose 2p = 128 stepped points _losses multiplies as 127 rows, then 1
+GRADIENT_CASES = [("dense_gaussian", 40, 24, 3),
+                  ("partial_circulant", 16, 24, 1),
+                  ("dense_gaussian", 452, 64, 2)]
+
+
+@pytest.mark.parametrize("link", [measurement.linear_link(),
+                                  measurement.shifted_cosine_link()],
+                         ids=["linear", "shifted_cosine"])
+@pytest.mark.parametrize("hidden", [[], [6], [5, 7]], ids=len)
+@pytest.mark.parametrize("activation", genmodel.ACTIVATIONS)
+@pytest.mark.parametrize("kind,n,p,k", GRADIENT_CASES)
+def test_gradient_check_matches_per_point_oracle_bitwise(
+        monkeypatch, kind, n, p, k, activation, hidden, link):
+    # the central differences, analytic gradients and vjps compared in each
+    # block are, row by row, those the per-point loop formed
+    dec = genmodel.decoder_new(derive_seed(k, activation), k, hidden, p, 3.0,
+                               activation)
+    op = sensing.sensing_new(kind, n, p, derive_seed(n, kind))
+    compared = []
+    rel_dev = analysis._rel_dev
+    monkeypatch.setattr(analysis, "_rel_dev", lambda fd, grad: (
+        compared.append((fd, grad)) or rel_dev(fd, grad)))
+    report = analysis.gradient_check(op, link, dec, points=50, seed=n)
+    rows = oracles.gradient_points(op, link, dec, 50, n)
+    losses, vjps = compared[0::2], compared[1::2]
+    assert len(losses) == -(-50 // analysis._block_len(2 * p * (p + 2 * n)))
+    assert hexes(fd for fd, _ in losses) == hexes(r[1] for r in rows)
+    assert hexes(g for _, g in losses) == hexes(
+        np.stack(r[2:4], axis=-1) for r in rows)
+    assert hexes(fd for fd, _ in vjps) == hexes(r[4] for r in rows)
+    assert hexes(g for _, g in vjps) == hexes(r[5] for r in rows)
+    violations, worst = oracles.gradient_check(op, link, dec, 50, n)
+    assert report.violations == violations
+    assert bits(report.worst_margin) == bits(worst)
 
 
 def fd_roundoff(magnitude, terms, h):
@@ -386,15 +439,16 @@ def test_range_blocks_stay_within_the_cell_budget(monkeypatch, n, tags):
 def test_check_products_stay_within_the_cell_budget(monkeypatch, n):
     # A check block of b pairs or points holds b * c * (n + p) floats of
     # operands and measurements: c = 2 range points in tsrec, 4 in wnu, 4
-    # vectors in polarization, 1 point in jle and in a loss evaluation. It
-    # stays within CHECK_CELLS, or holds one pair or point. A small p keeps
-    # the operator at n = N_CAP to 6.4 MB.
+    # vectors in polarization, 1 point in jle and in a loss evaluation, and
+    # 1 stepped point in the gradients check, whose points have 2p of them
+    # each. It stays within CHECK_CELLS, or holds one pair or point. A small
+    # p keeps the operator at n = N_CAP to 6.4 MB.
     dec = genmodel.decoder_new(1, k=2, hidden_dims=[4], p=8, r=3.0)
     p = dec.ambient_dim
     op = sensing.sensing_new("dense_gaussian", n, p, 2)
     applied, decoded = [], []
-    spy_rows(monkeypatch, sensing, "apply", applied)
-    spy_rows(monkeypatch, sensing, "adjoint_apply", applied)
+    for name in ("apply", "adjoint_apply", "_apply_each", "_adjoint_each"):
+        spy_rows(monkeypatch, sensing, name, applied)
     spy_rows(monkeypatch, genmodel, "_forward_cached", decoded)
     runs = [
         (2, lambda: analysis.tsrec_check(op, dec, eps=0.5, delta=0.01,
@@ -406,6 +460,8 @@ def test_check_products_stay_within_the_cell_budget(monkeypatch, n):
         (1, lambda: analysis._central_differences(
             lambda u: analysis._losses(op, np.zeros(n), (None,), u),
             np.ones(p), 1e-6)),
+        (1, lambda: analysis.gradient_check(op, measurement.linear_link(),
+                                            dec, points=40, seed=1)),
     ]
     for c, run in runs:
         applied.clear()

@@ -867,6 +867,11 @@ class TestConfigErrors:
         ("rate", {"decoder": {"family": "mlp", "k": 1, "p": 10 ** 6,
                               "r": 1.0}, "experiment.grid": [40, 100_000]},
          "experiment: grid: need 1 <= n <= 134, got 100000"),
+        # the descents' Jacobians, restarts * k * p floats, above
+        # JACOBIAN_CAP: 2000000 * 3 * 32
+        *((command, {"solver.projection.restarts": 2_000_000},
+           "solver.projection.restarts: restarts * k * p = 192000000, above "
+           "the cap of 134217728") for command in ("solve", "rate")),
     ])
     def test_size_rejected_before_any_draw(self, tmp_path, capsys,
                                            monkeypatch, command, keys,

@@ -74,6 +74,28 @@ class TestLosses:
                 fd = (loss(x + e) - loss(x - e)) / (2 * h)
                 assert abs(fd - grad[j]) <= 1e-5 * max(abs(grad[j]), 1e-8)
 
+    @pytest.mark.parametrize("link", [None, measurement.shifted_cosine_link()],
+                             ids=["identity", "shifted_cosine"])
+    @pytest.mark.parametrize("kind,n,p", [("dense_gaussian", 12, 7),
+                                          ("dense_gaussian", 1000, 256),
+                                          ("partial_circulant", 400, 784)])
+    def test_stacked_fit_rows_equal_one_point_calls(self, kind, n, p, link):
+        # each row of a stack's loss and gradient is bit for bit the
+        # one-point call, which is the vector-product formula
+        op = sensing.sensing_new(kind, n, p, derive_seed(n, kind))
+        rng = np.random.default_rng(n)
+        y, x = rng.standard_normal(n), rng.standard_normal((5, p))
+        loss, grad = solvers._fit(op, y, link, x)
+        for i, xi in enumerate(x):
+            t = sensing.apply(op, xi)
+            f = t if link is None else measurement.link_eval(link, t)
+            r = f - y
+            w = r if link is None else r * measurement.link_deriv(link, t)
+            want = float(r @ r) / (2.0 * n), sensing.adjoint_apply(op, w) / n
+            for got in (solvers._fit(op, y, link, xi), (loss[i], grad[i])):
+                assert float(got[0]).hex() == want[0].hex()
+                assert np.array_equal(got[1], want[1])
+
 
 class TestMuFactors:
     def test_mu1_balanced_at_unit_step(self):
