@@ -72,9 +72,32 @@ class CheckReport:
                 f"violations, worst margin {self.worst_margin:.3e}")
 
 
-def _finish_report(name, trials, violations, worst, params):
-    return CheckReport(name, trials, violations, float(worst), params,
-                       passed=violations <= params["allowed_violations"])
+def _finish_report(name, trials, failed, worst, params):
+    """The report of a check whose trials failed where ``failed`` is true:
+    where their pass condition does not hold, so a NaN fails. worst is one
+    numpy reduction over all trials, so a NaN shows. No violation passes."""
+    violations = int(np.count_nonzero(failed))
+    return CheckReport(name, trials, violations, float(worst),
+                       {**params, "allowed_violations": 0},
+                       passed=violations == 0)
+
+
+def _exceeds(*checks):
+    """(failed, worst) of (deviation per trial, tolerance) pairs: a trial
+    fails unless each deviation is within tolerance; worst is the largest."""
+    failed = np.logical_or.reduce([~(dev <= tol) for dev, tol in checks])
+    return failed, np.max([dev for dev, _ in checks], initial=0.0)
+
+
+def _rel_gap(lhs, rhs):
+    """|lhs - rhs| relative to the larger side, floored at 1e-30."""
+    return np.abs(lhs - rhs) / np.maximum(
+        np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+
+
+def _check_eps(eps):
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
 
 
 def cosine_similarity(a, b):
@@ -109,27 +132,19 @@ def _gram(op):
                     np.eye(op.p), op.n + op.p)
 
 
-def _range_blocks(decoder, seed, tags, pairs, n):
-    """Decoder range points of pairs 0..pairs-1, measured by an operator with
-    n rows, in blocks of pairs that hold at most CHECK_CELLS floats of range
-    points and measurements: ``len(tags) * (n + p)`` per pair.
-
-    For each block of consecutive pair indices i, yields a (tags, b, p)
-    array, one (b, p) view per tag, whose rows are G(z_i), where z_0, z_1,
-    ... are a tag's ``_sample_latents`` draws from
-    ``default_rng(derive_seed(seed, tag))`` with inset 1. Every latent is
-    sampled up front; a block's latents of every tag are decoded in one
-    batch.
-    """
-    k = decoder.latent_dim
+def _range_map(f, decoder, seed, tags, pairs, n):
+    """f(x_1, ..., x_m) through _rowwise over pairs 0..pairs-1, m (n + p)
+    floats a pair: x_j is G at a block of tag j's latents, its
+    ``_sample_latents`` draws, inset 1, from ``default_rng(derive_seed(seed,
+    tag))``, all drawn up front. A block is decoded in one batch, tag-major."""
+    def block(z):
+        x = genmodel._forward_cached(decoder, z.swapaxes(0, 1).reshape(
+            -1, decoder.latent_dim))[0]
+        return f(*x.reshape(len(tags), len(z), decoder.ambient_dim))
     z = np.stack([genmodel._sample_latents(
         decoder, np.random.default_rng(derive_seed(seed, tag)), pairs, 1.0)
-        for tag in tags])
-    step = _block_len(len(tags) * (n + decoder.ambient_dim))
-    for start in range(0, pairs, step):
-        block = z[:, start:start + step].reshape(-1, k)
-        yield genmodel._forward_cached(decoder, block)[0].reshape(
-            len(tags), -1, decoder.ambient_dim)
+        for tag in tags], axis=1)
+    return _rowwise(block, z, len(tags) * (n + decoder.ambient_dim))
 
 
 def _sq_norms(x):
@@ -149,28 +164,26 @@ def tsrec_check(op, decoder, eps, delta, pairs, seed):
     | ||A d|| / (sqrt(n) ||d||) - 1 | seen (the empirical eps-hat).
     ||A d||^2 is read as d^T (A^T A) d, with A^T A formed once.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _check_eps(eps)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     gram = _gram(op)
-    violations = 0
-    worst = 0.0
-    for x1, x2 in _range_blocks(decoder, seed, ("tsrec-a", "tsrec-b"), pairs,
-                                op.n):
+
+    def sides(x1, x2):  # (||A d|| / sqrt(n), ||d||) of each d = x1 - x2
         d = x1 - x2
-        nd = _row_norms(d)
         # clamped: round-off can take d^T A^T A d below 0 where A d ~ 0
-        s = np.sqrt(np.maximum(np.vecdot(d @ gram, d), 0.0) / op.n)
-        violations += int(np.count_nonzero((s > (1 + eps) * nd + delta)
-                                           | (s < (1 - eps) * nd - delta)))
-        pos = nd > 0
-        worst = max(worst, float(np.max(np.abs(s[pos] / nd[pos] - 1.0),
-                                        initial=0.0)))
-    return _finish_report("tsrec", pairs, violations, worst,
-                          {"eps": eps, "delta": delta, "n": op.n, "p": op.p,
-                           "k": decoder.latent_dim, "seed": seed,
-                           "allowed_violations": 0})
+        return np.stack([np.sqrt(np.maximum(np.vecdot(d @ gram, d), 0.0)
+                                 / op.n), _row_norms(d)], axis=-1)
+
+    s, nd = _range_map(sides, decoder, seed, ("tsrec-a", "tsrec-b"), pairs,
+                       op.n).reshape(-1, 2).T
+    pos = nd > 0
+    return _finish_report(
+        "tsrec", pairs, ~((s <= (1 + eps) * nd + delta)
+                          & (s >= (1 - eps) * nd - delta)),
+        np.max(np.abs(s[pos] / nd[pos] - 1.0), initial=0.0),
+        {"eps": eps, "delta": delta, "n": op.n, "p": op.p,
+         "k": decoder.latent_dim, "seed": seed})
 
 
 def jle_check(op, points, eps):
@@ -179,19 +192,15 @@ def jle_check(op, points, eps):
 
     worst_margin is the largest relative defect of ||Ax||^2/(n ||x||^2) from 1.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _check_eps(eps)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     nx2 = np.vecdot(points, points)
     s2 = _rowwise(lambda x: _sq_norms(sensing.apply(op, x)), points,
                   op.n + op.p) / op.n
-    keep = nx2 > 0.0
-    dev = np.abs(s2[keep] / nx2[keep] - 1.0)
-    violations = int(np.count_nonzero(dev > eps))
-    worst = float(np.max(dev, initial=0.0))
-    return _finish_report("jle", len(points), violations, worst,
-                          {"eps": eps, "n": op.n, "p": op.p,
-                           "allowed_violations": 0})
+    keep = nx2 != 0.0  # a zero point is skipped; a NaN one is kept
+    return _finish_report("jle", len(points),
+                          *_exceeds((np.abs(s2[keep] / nx2[keep] - 1.0), eps)),
+                          {"eps": eps, "n": op.n, "p": op.p})
 
 
 def wnu_check(op, decoder, nu, eps, pairs, seed):
@@ -201,23 +210,21 @@ def wnu_check(op, decoder, nu, eps, pairs, seed):
     worst_margin is the smallest remaining slack (negative means violated).
     W is formed once, from A^T A.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _check_eps(eps)
     bound_coef = solvers.mu1_of(nu, eps) + WNU_SLACK
     w = np.eye(op.p) - (nu / op.n) * _gram(op)
-    violations = 0
-    worst = math.inf
-    tags = ("wnu-a", "wnu-b", "wnu-c", "wnu-d")
-    for xa, xb, xc, xd in _range_blocks(decoder, seed, tags, pairs, op.n):
-        x1 = xa - xb
-        x2 = xc - xd
-        lhs = np.abs(np.vecdot(x1 @ w, x2))
-        margin = bound_coef * (_row_norms(x1) * _row_norms(x2)) - lhs
-        worst = min(worst, float(margin.min()))
-        violations += int(np.count_nonzero(margin < 0))
-    return _finish_report("wnu", pairs, violations, worst,
+
+    def margins(xa, xb, xc, xd):  # of each x1 = xa - xb, x2 = xc - xd
+        x1, x2 = xa - xb, xc - xd
+        return (bound_coef * (_row_norms(x1) * _row_norms(x2))
+                - np.abs(np.vecdot(x1 @ w, x2)))
+
+    margin = _range_map(margins, decoder, seed,
+                        ("wnu-a", "wnu-b", "wnu-c", "wnu-d"), pairs, op.n)
+    return _finish_report("wnu", pairs, ~(margin >= 0),
+                          np.min(margin, initial=math.inf),
                           {"nu": nu, "eps": eps, "slack": WNU_SLACK,
-                           "n": op.n, "seed": seed, "allowed_violations": 0})
+                           "n": op.n, "seed": seed})
 
 
 def polarization_check(op, pairs, seed):
@@ -229,17 +236,15 @@ def polarization_check(op, pairs, seed):
         lhs = np.vecdot(sensing.apply(op, x), sensing.apply(op, y))
         rhs = (_sq_norms(sensing.apply(op, x + y))
                - _sq_norms(sensing.apply(op, x - y))) / 4.0
-        return np.abs(lhs - rhs) / np.maximum(
-            np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+        return _rel_gap(lhs, rhs)
 
     # x then y of each pair, in the stream order of one draw at a time
     xy = np.random.default_rng(seed).standard_normal((pairs, 2, op.p))
     dev = _rowwise(devs, xy, 4 * (op.n + op.p))
-    violations = int(np.count_nonzero(dev > POLARIZATION_TOL))
-    worst = float(np.max(dev, initial=0.0))
-    return _finish_report("polarization", pairs, violations, worst,
+    return _finish_report("polarization", pairs,
+                          *_exceeds((dev, POLARIZATION_TOL)),
                           {"tol": POLARIZATION_TOL, "n": op.n, "p": op.p,
-                           "seed": seed, "allowed_violations": 0})
+                           "seed": seed})
 
 
 def mvt_check(op, link, triples, seed):
@@ -262,12 +267,10 @@ def mvt_check(op, link, triples, seed):
     # x1 then x2 of each triple, in the stream order of one draw at a time
     x = np.random.default_rng(seed).standard_normal((triples, 2, op.p))
     base, mid = _rowwise(sides, x, op.n + op.p).reshape(-1, 2).T
-    violations = int(np.count_nonzero((mid < l * base) | (mid > u * base)))
-    worst = float(np.min(np.minimum(mid - l * base, u * base - mid),
-                         initial=math.inf))
-    return _finish_report("mvt", triples, violations, worst,
-                          {"l": l, "u": u, "n": op.n, "seed": seed,
-                           "allowed_violations": 0})
+    return _finish_report(
+        "mvt", triples, ~((mid >= l * base) & (mid <= u * base)),
+        np.min(np.minimum(mid - l * base, u * base - mid), initial=math.inf),
+        {"l": l, "u": u, "n": op.n, "seed": seed})
 
 
 def adjoint_check(op, trials, seed):
@@ -281,16 +284,13 @@ def adjoint_check(op, trials, seed):
         x, v = xv[:, :op.p], xv[:, op.p:]
         lhs = np.vecdot(sensing._apply_each(op, x), v)
         rhs = np.vecdot(x, sensing._adjoint_each(op, v))
-        return np.abs(lhs - rhs) / np.maximum(
-            np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+        return _rel_gap(lhs, rhs)
 
     rng = np.random.default_rng(seed)
     dev = _rowwise(devs, range(trials), op.n + op.p)
-    violations = int(np.count_nonzero(dev > ADJOINT_TOL))
-    worst = float(np.max(dev, initial=0.0))
-    return _finish_report("adjoint", trials, violations, worst,
+    return _finish_report("adjoint", trials, *_exceeds((dev, ADJOINT_TOL)),
                           {"tol": ADJOINT_TOL, "kind": op.kind, "n": op.n,
-                           "p": op.p, "seed": seed, "allowed_violations": 0})
+                           "p": op.p, "seed": seed})
 
 
 def gradient_check(op, link, decoder, points, seed):
@@ -325,11 +325,10 @@ def gradient_check(op, link, decoder, points, seed):
 
     dev, vdev = _rowwise(devs, range(points),
                          2 * op.p * (op.p + 2 * op.n)).reshape(-1, 2).T
-    violations = int(np.count_nonzero((dev > GRADIENT_TOL) | (vdev > VJP_TOL)))
-    worst = float(np.max(np.maximum(dev, vdev), initial=0.0))
-    return _finish_report("gradients", points, violations, worst,
+    return _finish_report("gradients", points,
+                          *_exceeds((dev, GRADIENT_TOL), (vdev, VJP_TOL)),
                           {"tol": GRADIENT_TOL, "vjp_tol": VJP_TOL, "n": op.n,
-                           "p": op.p, "seed": seed, "allowed_violations": 0})
+                           "p": op.p, "seed": seed})
 
 
 def _losses(op, y, links, u):

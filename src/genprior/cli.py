@@ -177,7 +177,9 @@ def cmd_solve(args):
     # the operator is drawn in the solve, so its size is checked here
     with _reported("sensing"):
         analysis._check_n(n, setup.sensing_kind, setup.decoder.ambient_dim, "n")
-    result = analysis.solve_instance(setup, n, derive_seed(master, "solve"))
+    # as in rate: a planted signal the decoder maps to zero is a config error
+    with _reported("experiment"):
+        result = analysis.solve_instance(setup, n, derive_seed(master, "solve"))
     metrics = {
         "n": n,
         "p": setup.decoder.ambient_dim,
@@ -262,6 +264,11 @@ def _run_suite(suite, seed, n_override):
     def size(n):
         return n if n_override is None else n_override
 
+    def fresh(tag, n, p):  # CHECK_REPEATS dense operators, drawn one by one
+        for i in range(CHECK_REPEATS):
+            yield i, sensing.sensing_new("dense_gaussian", n, p,
+                                         derive_seed(seed, f"{tag}-op", i))
+
     reports = []
     if suite == "adjoint":
         cases = [("dense_gaussian", 50, 80), ("dense_gaussian", 200, 120),
@@ -279,27 +286,19 @@ def _run_suite(suite, seed, n_override):
         dec = _check_decoder(derive_seed(seed, "decoder"))
         # frozen: C = 8 at eps = 0.5 (the eps^2 factor is folded into C)
         n = size(_calibrated_n(dec, 8 * 0.5 ** 2, 0.5, 0.01))
-        for i in range(CHECK_REPEATS):
-            op = sensing.sensing_new("dense_gaussian", n, dec.ambient_dim,
-                                     derive_seed(seed, "tsrec-op", i))
+        for i, op in fresh("tsrec", n, dec.ambient_dim):
             reports.append(analysis.tsrec_check(
                 op, dec, eps=0.5, delta=0.01, pairs=1000,
                 seed=derive_seed(seed, "tsrec", i)))
     elif suite == "jle":
-        p = 64
-        n = size(200)
-        for i in range(CHECK_REPEATS):
-            op = sensing.sensing_new("dense_gaussian", n, p,
-                                     derive_seed(seed, "jle-op", i))
+        for i, op in fresh("jle", size(200), 64):
             pts = np.random.default_rng(
-                derive_seed(seed, "jle-points", i)).standard_normal((100, p))
+                derive_seed(seed, "jle-points", i)).standard_normal((100, 64))
             reports.append(analysis.jle_check(op, pts, eps=0.5))
     elif suite == "wnu":
         dec = _check_decoder(derive_seed(seed, "decoder"))
         n = size(_calibrated_n(dec, 1.0, 0.3, 1e-3))
-        for i in range(CHECK_REPEATS):
-            op = sensing.sensing_new("dense_gaussian", n, dec.ambient_dim,
-                                     derive_seed(seed, "wnu-op", i))
+        for i, op in fresh("wnu", n, dec.ambient_dim):
             reports.append(analysis.wnu_check(
                 op, dec, nu=1.0, eps=0.3, pairs=500,
                 seed=derive_seed(seed, "wnu", i)))

@@ -174,6 +174,60 @@ class TestAdjointAndGradientChecks:
         assert rep.violations == 0 and rep.passed
 
 
+def small_decoder(weight_scale=1.0):
+    return genmodel.decoder_new(1, k=2, hidden_dims=[4], p=8, r=3.0,
+                                activation="identity",
+                                weight_scale=weight_scale)
+
+
+# each check on a dense operator and decoder of p = 8, with a few trials
+CHECKS = {
+    "tsrec": lambda op, dec: analysis.tsrec_check(op, dec, 0.5, 0.01, 20, 1),
+    "jle": lambda op, dec: analysis.jle_check(op, np.ones((20, 8)), 0.5),
+    "wnu": lambda op, dec: analysis.wnu_check(op, dec, 1.0, 0.3, 20, 1),
+    "polarization": lambda op, dec: analysis.polarization_check(op, 20, 1),
+    "mvt": lambda op, dec: analysis.mvt_check(
+        op, measurement.shifted_cosine_link(), 20, 1),
+    "adjoint": lambda op, dec: analysis.adjoint_check(op, 20, 1),
+    "gradients": lambda op, dec: analysis.gradient_check(
+        op, measurement.linear_link(), dec, 3, 1),
+}
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("check, fault", [
+        *((check, "nan entry") for check in CHECKS), ("gradients", "overflow")])
+    def test_non_finite_results_fail(self, check, fault):
+        # each check passes at these sizes, and fails once one operator entry
+        # is NaN or the decoder overflows: a comparison with NaN is false, so
+        # a trial fails unless its pass condition holds, and the worst margin
+        # keeps the NaN
+        op = sensing.sensing_new("dense_gaussian", 200, 8, 0)
+        rep = CHECKS[check](op, small_decoder())
+        assert rep.passed and np.isfinite(rep.worst_margin)
+        if fault == "nan entry":
+            op.matrix[100, 3] = np.nan
+        with np.errstate(all="ignore"):
+            rep = CHECKS[check](op, small_decoder(
+                1e200 if fault == "overflow" else 1.0))
+        assert rep.violations > 0 and not rep.passed
+        assert not np.isfinite(rep.worst_margin)
+
+    def test_jle_skips_a_zero_point_but_not_a_nan_one(self):
+        op = sensing.sensing_new("dense_gaussian", 200, 8, 0)
+        points = np.ones((3, 8))
+        points[0], points[1, 0] = 0.0, np.nan
+        rep = analysis.jle_check(op, points, 0.5)
+        assert rep.violations == 1 and np.isnan(rep.worst_margin)
+
+    @pytest.mark.parametrize("suite", cli.CHECK_SUITES)
+    def test_default_seed_reports_allow_no_violation(self, suite):
+        reports = cli._run_suite(suite, cli.DEFAULT_CHECK_SEED, None)
+        for rep in reports:
+            assert list(rep.params.items())[-1] == ("allowed_violations", 0)
+            assert rep.passed == (rep.violations == 0)
+
+
 class TestContractionFit:
     def test_exact_geometric_series(self):
         traj = Trajectory(error_to_target=[0.5 ** t for t in range(20)])

@@ -423,16 +423,24 @@ def test_range_checks_read_the_operator_once(monkeypatch, kind, n):
 @pytest.mark.parametrize("tags", [("a",), ("a", "b"), ("a", "b", "c", "d")])
 def test_range_blocks_stay_within_the_cell_budget(monkeypatch, n, tags):
     # every block but the last holds _block_len pairs; a block's range
-    # points and measurements fit in CHECK_CELLS floats, or it is one pair
+    # points and measurements fit in CHECK_CELLS floats, or it is one pair;
+    # the points of each tag are G at the tag's draws, in draw order
     dec = check_decoder()
     width = len(tags) * (n + dec.ambient_dim)
-    decoded = []
+    want = [genmodel._forward_cached(dec, genmodel._sample_latents(
+        dec, np.random.default_rng(derive_seed(1, tag)), 300, 1.0))[0]
+        for tag in tags]
+    decoded, blocks = [], []
     spy_rows(monkeypatch, genmodel, "_forward_cached", decoded)
-    blocks = list(analysis._range_blocks(dec, 1, tags, 300, n))
+    analysis._range_map(lambda *x: blocks.append(x) or np.zeros(len(x[0])),
+                        dec, 1, tags, 300, n)
     sizes = [len(block[0]) for block in blocks]
     assert decoded == [len(tags) * b for b in sizes] and sum(sizes) == 300
     assert set(sizes[:-1]) <= {analysis._block_len(width)}
     assert all(b * width <= max(analysis.CHECK_CELLS, width) for b in sizes)
+    for got, points in zip(zip(*blocks), want, strict=True):
+        assert np.allclose(np.concatenate(got), points, rtol=1e-12,
+                           atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2000, analysis.N_CAP])

@@ -837,6 +837,20 @@ class TestConfigErrors:
         assert err.startswith(f"config error: {prefix}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["solve", "rate"])
+    def test_signal_planted_at_a_zero_output(self, tmp_path, capsys, command):
+        # one relu hidden unit: the decoder output at the latent that master
+        # seed 6 plants is zero, so no unit-norm signal exists
+        code, err = self._rejected(
+            tmp_path, capsys, command, master_seed=6,
+            decoder={"family": "mlp", "k": 2, "layer_dims": [1], "p": 8,
+                     "r": 3.0, "activation": "relu", "seed": 4},
+            sensing={"kind": "dense_gaussian", "n": 8},
+            solver={"kind": "pgd_glasso", "iterations": 3},
+            experiment={"grid": [8], "trials": 10})
+        assert (code, err) == (2, "config error: experiment: decoder output "
+                                  "at the planted latent is zero\n")
+
     # Sizes a constructor cannot take are rejected before any weight or
     # operator is drawn, with a message that names the key.
     @pytest.mark.parametrize("command, keys, message", [
