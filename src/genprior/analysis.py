@@ -36,7 +36,6 @@ __all__ = [
     "adjoint_check",
     "gradient_check",
     "contraction_fit",
-    "plant_unit_signal",
     "solve_instance",
     "run_trials",
     "rate_experiment",
@@ -374,24 +373,6 @@ def contraction_fit(traj, floor):
     return slope, float(errs.min())
 
 
-def plant_unit_signal(decoder, seed):
-    """Unit-norm signal in the direction of a random range point.
-
-    Returns (x_star, z_star). A rescaled target t x_star, t >= 0, lies in
-    the decoder range exactly when the decoder is positively homogeneous
-    (linear, or relu with its zero biases) and t z_star / ||G(z_star)||
-    stays in the latent ball. Tanh decoders are not: on those measured, the
-    median relative distance from mu x_star to G(B_2^k(r)) was 0.17 to
-    0.45, a representation error at which sim-mode errors floor.
-    """
-    z = genmodel.sample_latent(decoder, seed)
-    x = genmodel.forward(decoder, z)
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        raise ValueError("decoder output at the planted latent is zero")
-    return x / nx, z
-
-
 @dataclass(frozen=True)
 class TrialSetup:
     """Everything a Monte Carlo trial needs except its size and seed."""
@@ -438,7 +419,6 @@ class TrialRecord:
 @dataclass(frozen=True)
 class SolveResult:
     op: object
-    matched: bool
     x_hat: np.ndarray
     trajectory: object
     record: TrialRecord
@@ -466,41 +446,55 @@ def run_trials(setup, n, seeds):
 
 def _solve_seeds(setup, n, seeds):
     """SolveResults of the instances drawn from seeds, solved as one group."""
-    matched = setup.matched()
     draws = [_draw_instance(setup, n, seed) for seed in seeds]
     solved = solvers._solve_group(
         setup.solver_kind, [op for op, *_ in draws],
         [y for _, y, *_ in draws], setup.link, setup.decoder,
         setup.solver_cfg, [derive_seed(seed, "solver") for seed in seeds],
-        [target if matched else None for *_, target in draws])
+        [target for *_, target in draws])
     results = []
     for seed, (op, _, x_star, target), (x_hat, traj) in zip(seeds, draws,
                                                               solved):
-        error = (float(np.linalg.norm(x_hat - target)) if matched
-                 else float("nan"))
+        error = (float("nan") if target is None
+                 else float(np.linalg.norm(x_hat - target)))
         cos = (cosine_similarity(x_star, x_hat)
                if np.linalg.norm(x_hat) > 0 else float("nan"))
         rec = TrialRecord(int(n), int(seed), error, cos, traj.loss_values[-1])
-        results.append(SolveResult(op, matched, x_hat, traj, rec))
+        results.append(SolveResult(op, x_hat, traj, rec))
     return results
 
 
 def _draw_instance(setup, n, seed):
-    """The operator, measurements, signal and error target of one seed."""
-    decoder = setup.decoder
-    link = setup.link
+    """The operator, measurements, signal x* and error target of one seed.
+
+    Both observation models plant x* = G(z*) at the latent z* of
+    ``derive_seed(seed, "signal")`` and reject a zero G(z*). The target of
+    known mode is x*. Sim mode scales x* to unit norm, as the link hides
+    its scale, and targets mu x*. A rescaled t x*, t >= 0, lies in the
+    decoder range exactly when the decoder is positively homogeneous
+    (linear, or relu with its zero biases) and t z* / ||G(z*)|| stays in
+    the latent ball. Tanh decoders are not: on those measured, the median
+    relative distance from mu x* to G(B_2^k(r)) was 0.17 to 0.45, a
+    representation error at which sim-mode errors floor. A solver that
+    does not match the observation model (``TrialSetup.matched``) has the
+    target None.
+    """
+    decoder, link = setup.decoder, setup.link
     op = sensing.sensing_new(setup.sensing_kind, n, decoder.ambient_dim,
                              derive_seed(seed, "sensing"))
+    x_star = genmodel.forward(decoder, genmodel.sample_latent(
+        decoder, derive_seed(seed, "signal")))
+    norm = np.linalg.norm(x_star)
+    if norm == 0.0:
+        raise ValueError("decoder output at the planted latent is zero")
     if setup.resolved_observation() == "sim":
-        x_star, _ = plant_unit_signal(decoder, derive_seed(seed, "signal"))
+        x_star = x_star / norm
         y = observe_sim(link, op, x_star, derive_seed(seed, "observe"))
         target = link.mu * x_star
     else:
-        z_star = genmodel.sample_latent(decoder, derive_seed(seed, "signal"))
-        x_star = genmodel.forward(decoder, z_star)
         y = observe_known(link, op, x_star, derive_seed(seed, "observe"))
         target = x_star
-    return op, y, x_star, target
+    return op, y, x_star, target if setup.matched() else None
 
 
 @dataclass(frozen=True)
@@ -547,10 +541,7 @@ def rate_experiment(grid, trials, setup, seed, threads=1):
         raise ValueError("rate experiment needs a solver matching the "
                          "observation model so the error target is defined")
     decoder = setup.decoder
-    lr = decoder.lipschitz * decoder.latent_radius
-    if not 0 < setup.delta < lr:  # the rate's log(L r / delta) is positive
-        raise ValueError(f"delta must be in (0, L r) = (0, {lr:.6g}), "
-                         f"got {setup.delta}")
+    log_term = _log_lr_over_delta(decoder, setup.delta)
     jobs = []
     for n in grid:
         dense = setup.sensing_kind == "dense_gaussian"
@@ -564,22 +555,27 @@ def rate_experiment(grid, trials, setup, seed, threads=1):
     else:
         groups = [_run_trials_star(j) for j in jobs]
     records = [rec for group in groups for rec in group]
-    scale = math.sqrt(decoder.latent_dim * math.log(lr / setup.delta))
-    medians, q25s, q75s = [], [], []
-    for idx, n in enumerate(grid):
-        errs = np.asarray([r.error for r in records[idx * trials:(idx + 1) * trials]])
-        medians.append(float(np.median(errs)))
-        q25s.append(float(np.quantile(errs, 0.25)))
-        q75s.append(float(np.quantile(errs, 0.75)))
+    scale = math.sqrt(decoder.latent_dim * log_term)
+    errs = np.reshape([r.error for r in records], (len(grid), trials))
+    m = np.median(errs, axis=1)  # the 0.5 quantile rounds it differently
+    q25, q75 = np.quantile(errs, [0.25, 0.75], axis=1)
     s = np.asarray([scale / math.sqrt(n) for n in grid])
-    m = np.asarray(medians)
     c = float(m @ s / (s @ s))
-    rows = tuple(RateRow(n, trials, medians[i], q25s[i], q75s[i],
-                         float(c * s[i]))
-                 for i, n in enumerate(grid))
+    rows = tuple(RateRow(n, trials, *map(float, row))
+                 for n, *row in zip(grid, m, q25, q75, c * s))
     return RateTable(rows, c, decoder.latent_dim, decoder.ambient_dim,
                      decoder.lipschitz, decoder.latent_radius, setup.delta,
                      setup.link.kind, setup.solver_kind)
+
+
+def _log_lr_over_delta(decoder, delta):
+    """log(L r / delta) of the rate sqrt(k log(L r / delta) / n), for the
+    decoder's L and r; delta must lie in (0, L r), so the log is positive."""
+    lr = decoder.lipschitz * decoder.latent_radius
+    if not 0 < delta < lr:
+        raise ValueError(f"delta must be in (0, L r) = (0, {lr:.6g}), "
+                         f"got {delta}")
+    return math.log(lr / delta)
 
 
 def _check_n(n, kind, p, key):

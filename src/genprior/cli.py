@@ -189,16 +189,16 @@ def cmd_solve(args):
         "mu": setup.link.mu,
         "lipschitz_bound": setup.decoder.lipschitz,
         "final_loss": result.record.loss,
-        "l2_error": None if not result.matched else result.record.error,
+        "l2_error": result.record.error if setup.matched() else None,
         "cosine_similarity": result.record.cosine,
     }
     with _reported("output directory", OSError):
         os.makedirs(out_dir, exist_ok=True)
-    _write_trajectory_csv(result.trajectory,
-                          os.path.join(out_dir, "trajectory.csv"))
-    _write_json(os.path.join(out_dir, "metrics.json"), metrics)
-    _write_json(os.path.join(out_dir, "instance.json"),
-                _instance_doc(cfg, setup, result, master))
+        _write_trajectory_csv(result.trajectory,
+                              os.path.join(out_dir, "trajectory.csv"))
+        _write_json(os.path.join(out_dir, "metrics.json"), metrics)
+        _write_json(os.path.join(out_dir, "instance.json"),
+                    _instance_doc(cfg, setup, result, master))
     if not args.quiet:
         print(f"solve: loss={metrics['final_loss']:.6g} "
               f"cosine={metrics['cosine_similarity']:.4f} -> {out_dir}")
@@ -219,8 +219,9 @@ def cmd_rate(args):
                                          threads=_threads(args))
     with _reported("output directory", OSError):
         os.makedirs(out_dir, exist_ok=True)
-    _write_rate_csv(table, os.path.join(out_dir, "rate.csv"))
-    _write_json(os.path.join(out_dir, "rate.json"), dataclasses.asdict(table))
+        _write_rate_csv(table, os.path.join(out_dir, "rate.csv"))
+        _write_json(os.path.join(out_dir, "rate.json"),
+                    dataclasses.asdict(table))
     if not args.quiet:
         for row in table.rows:
             print(f"n={row.n}: median={row.median_error:.4g} "
@@ -255,9 +256,8 @@ def _check_decoder(seed):
 
 
 def _calibrated_n(decoder, factor, eps, delta):
-    lr = decoder.lipschitz * decoder.latent_radius
     return max(1, math.ceil(factor * decoder.latent_dim / eps ** 2
-                            * math.log(lr / delta)))
+                            * analysis._log_lr_over_delta(decoder, delta)))
 
 
 def _run_suite(suite, seed, n_override):

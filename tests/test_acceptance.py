@@ -113,7 +113,9 @@ def test_criterion_3_exact_projection_convergence():
     for seed in range(20):
         dec = genmodel.orthonormal_linear_decoder(derive_seed(3, "dec", seed),
                                                   8, 256, 3.0)
-        x_star, _ = analysis.plant_unit_signal(dec, derive_seed(3, "sig", seed))
+        x_star = genmodel.forward(dec, genmodel.sample_latent(
+            dec, derive_seed(3, "sig", seed)))
+        x_star = x_star / np.linalg.norm(x_star)
         op = sensing.sensing_new("dense_gaussian", 120, 256,
                                  derive_seed(3, "op", seed))
         y = measurement.observe_sim(measurement.linear_link(), op, x_star,

@@ -7,6 +7,7 @@ import pytest
 from genprior import analysis, cli, genmodel, measurement, sensing, solvers
 from genprior.errors import InsufficientDataError, UnsupportedOperationError
 from genprior.projection import ProjectionConfig
+from genprior.seeding import derive_seed
 from genprior.solvers import SolverConfig, Trajectory
 
 
@@ -259,11 +260,32 @@ def tiny_noiseless_setup(seed=5):
 
 
 class TestTrials:
-    def test_plant_unit_signal(self):
+    @pytest.mark.parametrize("observation", ["sim", "known"])
+    def test_draw_instance_plants_one_signal(self, observation):
+        # both modes decode G(z*) at the latent of the "signal" seed; sim
+        # mode scales it to unit norm and targets mu x*, known mode
+        # targets x* itself
         dec = check_decoder()
-        x, z = analysis.plant_unit_signal(dec, 3)
-        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+        link = measurement.shifted_cosine_link()
+        kind = "pgd_glasso" if observation == "sim" else "pgd_nlasso"
+        setup = analysis.TrialSetup(
+            decoder=dec, link=link, solver_kind=kind,
+            solver_cfg=SolverConfig(step_size=1.0), observation=observation)
+        _, _, x, target = analysis._draw_instance(setup, 40, 3)
+        z = genmodel.sample_latent(dec, derive_seed(3, "signal"))
         assert np.linalg.norm(z) <= 0.9 * dec.latent_radius + 1e-12
+        g = genmodel.forward(dec, z)
+        if observation == "sim":
+            assert np.array_equal(x, g / np.linalg.norm(g))
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+            assert np.array_equal(target, link.mu * x)
+        else:
+            assert np.array_equal(x, g)
+            assert np.array_equal(target, x)
+        # the other mode does not match the solver: no target
+        other = replace(setup, observation=({"sim": "known", "known": "sim"}
+                                            [observation]))
+        assert analysis._draw_instance(other, 40, 3)[3] is None
 
     def test_run_trial_record_fields(self):
         [rec] = analysis.run_trials(tiny_noiseless_setup(), n=40, seeds=[1])

@@ -261,6 +261,22 @@ class TestRate:
         assert str(out) in err and err.count("\n") == 1
         assert out.read_text() == "keep"
 
+    @pytest.mark.parametrize("command, name", [("solve", "trajectory.csv"),
+                                               ("rate", "rate.json")])
+    def test_output_file_is_a_directory(self, tmp_path, capsys, command,
+                                        name):
+        # a write that fails is reported as the output directory's error,
+        # as a failed makedirs is
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, experiment={"grid": [40], "trials": 10})
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert cli.main([command, "--config", str(cfg_path), "--out",
+                         str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output directory:")
+        assert str(out / name) in err and err.count("\n") == 1
+
     def test_threads_capped_at_cpu_count(self):
         # _threads only computes the worker count; no pool is started
         cap = os.cpu_count() or 1
@@ -837,16 +853,23 @@ class TestConfigErrors:
         assert err.startswith(f"config error: {prefix}")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["solve", "rate"])
-    def test_signal_planted_at_a_zero_output(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, link, solver", [
+        pytest.param("solve", "linear", "pgd_glasso", id="solve"),
+        pytest.param("rate", "linear", "pgd_glasso", id="rate"),
+        pytest.param("solve", "shifted_cosine", "pgd_nlasso", id="solve-known"),
+        pytest.param("rate", "shifted_cosine", "pgd_nlasso", id="rate-known")])
+    def test_signal_planted_at_a_zero_output(self, tmp_path, capsys, command,
+                                             link, solver):
         # one relu hidden unit: the decoder output at the latent that master
-        # seed 6 plants is zero, so no unit-norm signal exists
+        # seed 6 plants is zero, so there is no signal to plant, whether sim
+        # mode would scale it to unit norm or known mode would observe it
         code, err = self._rejected(
             tmp_path, capsys, command, master_seed=6,
             decoder={"family": "mlp", "k": 2, "layer_dims": [1], "p": 8,
                      "r": 3.0, "activation": "relu", "seed": 4},
             sensing={"kind": "dense_gaussian", "n": 8},
-            solver={"kind": "pgd_glasso", "iterations": 3},
+            link={"kind": link},
+            solver={"kind": solver, "iterations": 3},
             experiment={"grid": [8], "trials": 10})
         assert (code, err) == (2, "config error: experiment: decoder output "
                                   "at the planted latent is zero\n")

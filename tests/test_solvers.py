@@ -135,7 +135,8 @@ class TestMuFactors:
 
 def _planted_linear_instance(seed, k=8, p=256, n=178, tau=0.0):
     dec = genmodel.orthonormal_linear_decoder(seed, k, p, 3.0)
-    x_star, _ = analysis.plant_unit_signal(dec, seed + 1000)
+    x_star = genmodel.forward(dec, genmodel.sample_latent(dec, seed + 1000))
+    x_star = x_star / np.linalg.norm(x_star)
     op = sensing.sensing_new("dense_gaussian", n, p, seed + 2000)
     link = measurement.linear_link(tau=tau)
     y = measurement.observe_sim(link, op, x_star, seed + 3000)
