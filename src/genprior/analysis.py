@@ -526,9 +526,10 @@ def rate_experiment(grid, trials, setup, seed, threads=1):
     Each grid point runs ``trials`` independent draws; medians are fitted
     against c * sqrt(k log(L r / delta) / n) by least squares. The trials of
     a grid point run in lockstep groups of consecutive seeds (see
-    ``_split_trials``), and workers take whole groups. The split does not
-    depend on ``threads`` and aggregation folds trials in seed order, so the
-    output is independent of scheduling.
+    ``_split_trials``). Up to ``threads`` forked workers take whole groups,
+    at most one worker per group, and a single group runs in-process. The
+    split does not depend on ``threads`` and aggregation folds trials in
+    seed order, so the output is independent of scheduling.
     """
     grid = sorted(int(n) for n in set(grid))
     if len(grid) < 1:
@@ -548,12 +549,18 @@ def rate_experiment(grid, trials, setup, seed, threads=1):
         cells = n * decoder.ambient_dim if dense else 0
         seeds = [derive_seed(seed, f"rate-n{n}", i) for i in range(trials)]
         jobs += [(setup, n, group) for group in _split_trials(seeds, cells)]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            groups = list(ex.map(_run_trials_star, jobs, chunksize=1))
-    else:
-        groups = [_run_trials_star(j) for j in jobs]
+    # workers inherit the parent's pin, which needs fork: forkserver (the
+    # Linux default from Python 3.14) would start them at the host's count
+    with _one_blas_thread():
+        if threads > 1 and len(jobs) > 1:
+            import multiprocessing as mp
+            from concurrent.futures import ProcessPoolExecutor
+            fork = "fork" if "fork" in mp.get_all_start_methods() else None
+            with ProcessPoolExecutor(min(threads, len(jobs)),
+                                     mp.get_context(fork)) as ex:
+                groups = list(ex.map(_run_trials_star, jobs, chunksize=1))
+        else:
+            groups = [run_trials(*j) for j in jobs]
     records = [rec for group in groups for rec in group]
     scale = math.sqrt(decoder.latent_dim * log_term)
     errs = np.reshape([r.error for r in records], (len(grid), trials))
@@ -599,10 +606,8 @@ def _split_trials(seeds, cells):
 
 
 def _run_trials_star(job):
-    """run_trials(*job) under ``_one_blas_thread``, so a rate table depends
-    neither on ``threads`` nor on the host's BLAS thread count."""
-    with _one_blas_thread():
-        return run_trials(*job)
+    """run_trials(*job), for a worker pool's map."""
+    return run_trials(*job)
 
 
 @contextlib.contextmanager
@@ -610,15 +615,18 @@ def _one_blas_thread():
     """Every loaded OpenBLAS at one thread inside the block, and at the
     count it had on leaving, also when the block raises. OpenBLAS rounds
     differently at different thread counts, and forked workers that each
-    run several BLAS threads oversubscribe the cores."""
-    blas = _openblas()
-    before = [get() for get, _ in blas]
+    run several BLAS threads oversubscribe the cores. An OpenBLAS already
+    at one thread is left alone, neither set nor restored: a forked worker
+    inherits the parent's pin and must not set the count, because the
+    first set after a fork, even to 1, restarts OpenBLAS's thread pool,
+    whose new helper busy-waits on a core for about 128 ms."""
+    blas = [(count, put) for get, put in _openblas() if (count := get()) != 1]
     for _, put in blas:
         put(1)
     try:
         yield
     finally:
-        for (_, put), count in zip(blas, before):
+        for count, put in blas:
             put(count)
 
 

@@ -192,13 +192,12 @@ def cmd_solve(args):
         "l2_error": result.record.error if setup.matched() else None,
         "cosine_similarity": result.record.cosine,
     }
-    with _reported("output directory", OSError):
-        os.makedirs(out_dir, exist_ok=True)
-        _write_trajectory_csv(result.trajectory,
-                              os.path.join(out_dir, "trajectory.csv"))
-        _write_json(os.path.join(out_dir, "metrics.json"), metrics)
-        _write_json(os.path.join(out_dir, "instance.json"),
-                    _instance_doc(cfg, setup, result, master))
+    instance = _instance_doc(cfg, setup, result, master)
+    _write_outputs(out_dir, {
+        "trajectory.csv": lambda path: _write_trajectory_csv(
+            result.trajectory, path),
+        "metrics.json": lambda path: _write_json(path, metrics),
+        "instance.json": lambda path: _write_json(path, instance)})
     if not args.quiet:
         print(f"solve: loss={metrics['final_loss']:.6g} "
               f"cosine={metrics['cosine_similarity']:.4f} -> {out_dir}")
@@ -217,11 +216,9 @@ def cmd_rate(args):
         table = analysis.rate_experiment(exp["grid"], exp.get("trials", 30),
                                          setup, derive_seed(master, "rate"),
                                          threads=_threads(args))
-    with _reported("output directory", OSError):
-        os.makedirs(out_dir, exist_ok=True)
-        _write_rate_csv(table, os.path.join(out_dir, "rate.csv"))
-        _write_json(os.path.join(out_dir, "rate.json"),
-                    dataclasses.asdict(table))
+    _write_outputs(out_dir, {
+        "rate.csv": lambda path: _write_rate_csv(table, path),
+        "rate.json": lambda path: _write_json(path, dataclasses.asdict(table))})
     if not args.quiet:
         for row in table.rows:
             print(f"n={row.n}: median={row.median_error:.4g} "
@@ -496,6 +493,32 @@ def _instance_doc(cfg, setup, result, master):
         },
         "observation": setup.resolved_observation(),
     }
+
+
+def _write_outputs(out_dir, writers):
+    """Create out_dir and write its files, all or none: each
+    ``writers[name](path)`` writes to a temporary path beside its file, and
+    the files take their names only once every write has succeeded. A
+    failure removes every temporary and every file already renamed, and is
+    reported as the output directory's config error at the file's path."""
+    path = out_dir
+    staged, placed = [], []
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, write in writers.items():
+            path = os.path.join(out_dir, name)
+            staged.append(os.path.join(out_dir, f".{name}.tmp"))
+            write(staged[-1])
+        for tmp, name in zip(staged, writers):
+            path = os.path.join(out_dir, name)
+            os.replace(tmp, path)
+            placed.append(path)
+    except OSError as e:
+        for leftover in staged + placed:
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
+        raise ConfigError(f"output directory: [Errno {e.errno}] "
+                          f"{e.strerror}: {path!r}") from e
 
 
 def _write_json(path, doc):

@@ -1,4 +1,7 @@
+import collections
+import concurrent.futures
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -259,6 +262,17 @@ def tiny_noiseless_setup(seed=5):
                                solver_kind="pgd_glasso", solver_cfg=cfg)
 
 
+def counting_setters(blas, sets):
+    """blas's (get, set) pairs with each set counted in sets by process id."""
+    def counted(put):
+        def put_counted(count):
+            sets[os.getpid()] += 1
+            return put(count)
+        return put_counted
+
+    return tuple((get, counted(put)) for get, put in blas)
+
+
 class TestTrials:
     @pytest.mark.parametrize("observation", ["sim", "known"])
     def test_draw_instance_plants_one_signal(self, observation):
@@ -405,6 +419,73 @@ class TestRateExperiment:
         with pytest.raises(RuntimeError, match="job failed"):
             analysis.rate_experiment([40], 10, tiny_noiseless_setup(), seed=3)
         assert [g() for g, _ in two_blas_threads] == [2] * len(two_blas_threads)
+
+    def test_workers_inherit_the_pin(self, two_blas_threads, monkeypatch):
+        # the parent pins one BLAS thread before it forks, and no worker
+        # sets the count: the first set after a fork restarts OpenBLAS's
+        # thread pool, whose new helper busy-waits beside the worker
+        if not two_blas_threads:
+            pytest.skip("no OpenBLAS loaded")
+        sets = collections.Counter()
+        monkeypatch.setattr(analysis, "_openblas",
+                            lambda: counting_setters(two_blas_threads, sets))
+        get = two_blas_threads[0][0]
+        real = analysis.run_trials
+
+        def spy(setup, n, seeds):  # 100 x the worker's sets + its count
+            value = float(100 * sets[os.getpid()] + get())
+            return [replace(r, error=value) for r in real(setup, n, seeds)]
+
+        monkeypatch.setattr(analysis, "run_trials", spy)
+        # two grid points of one group each: one job per worker
+        table = analysis.rate_experiment([40, 80], 10, tiny_noiseless_setup(),
+                                         seed=3, threads=2)
+        assert {(r.q25, r.median_error, r.q75) for r in table.rows} == {
+            (1.0, 1.0, 1.0)}
+        assert [g() for g, _ in two_blas_threads] == [2] * len(two_blas_threads)
+
+    def test_one_blas_thread_leaves_a_count_of_one_alone(self, blas_threads,
+                                                         monkeypatch):
+        blas = blas_threads(1)
+        if not blas:
+            pytest.skip("no OpenBLAS loaded")
+        sets = collections.Counter()
+        monkeypatch.setattr(analysis, "_openblas",
+                            lambda: counting_setters(blas, sets))
+        with analysis._one_blas_thread():
+            assert [g() for g, _ in blas] == [1] * len(blas)
+        assert not sets
+        assert [g() for g, _ in blas] == [1] * len(blas)
+
+    def test_one_job_runs_in_process(self, monkeypatch):
+        # a one-point dense grid at p = 32 forms a single group, which a
+        # pool could not speed up
+        setup = tiny_noiseless_setup()
+        serial = analysis.rate_experiment([40], 10, setup, seed=3)
+
+        def no_pool(*args):
+            raise AssertionError("a pool was started for one job")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert analysis.rate_experiment([40], 10, setup, seed=3,
+                                        threads=2) == serial
+
+    def test_pool_forks_at_most_one_worker_per_job(self, monkeypatch):
+        # fork, so that workers inherit the pin (forkserver is the Linux
+        # default from Python 3.14)
+        real = concurrent.futures.ProcessPoolExecutor
+        pools = []
+
+        def pool(max_workers, mp_context):
+            pools.append((max_workers, mp_context.get_start_method()))
+            return real(max_workers, mp_context)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        setup = tiny_noiseless_setup()
+        table = analysis.rate_experiment([40, 80], 10, setup, seed=3,
+                                         threads=8)
+        assert pools == [(2, "fork")]
+        assert table == analysis.rate_experiment([40, 80], 10, setup, seed=3)
 
     def test_validation(self):
         setup = tiny_noiseless_setup()

@@ -261,12 +261,15 @@ class TestRate:
         assert str(out) in err and err.count("\n") == 1
         assert out.read_text() == "keep"
 
-    @pytest.mark.parametrize("command, name", [("solve", "trajectory.csv"),
-                                               ("rate", "rate.json")])
+    @pytest.mark.parametrize("command, name", [
+        ("solve", "trajectory.csv"), ("solve", "metrics.json"),
+        ("solve", "instance.json"), ("rate", "rate.csv"),
+        ("rate", "rate.json")])
     def test_output_file_is_a_directory(self, tmp_path, capsys, command,
                                         name):
         # a write that fails is reported as the output directory's error,
-        # as a failed makedirs is
+        # as a failed makedirs is, and leaves none of the command's files
+        # and no temporary file behind
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, experiment={"grid": [40], "trials": 10})
         out = tmp_path / "out"
@@ -276,6 +279,8 @@ class TestRate:
         err = capsys.readouterr().err
         assert err.startswith("config error: output directory:")
         assert str(out / name) in err and err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == [name]
+        assert (out / name).is_dir()
 
     def test_threads_capped_at_cpu_count(self):
         # _threads only computes the worker count; no pool is started
