@@ -437,10 +437,10 @@ def _build_setup(cfg, args):
             projection=projection.ProjectionConfig(
                 **solver.get("projection", {})),
             **_args(solver, iterations="iterations", x0_mode="x0_mode"))
-    store = scfg.projection.restarts * decoder.latent_dim * decoder.ambient_dim
-    if store > analysis.JACOBIAN_CAP:  # before the descent draws its starts
+    cells = scfg.projection.restarts * decoder.latent_dim * decoder.ambient_dim
+    if cells > analysis.JACOBIAN_CAP:  # before the descent draws its starts
         raise ConfigError(f"solver.projection.restarts: restarts * k * p = "
-                          f"{store}, above the cap of {analysis.JACOBIAN_CAP}")
+                          f"{cells}, above the cap of {analysis.JACOBIAN_CAP}")
     setup = analysis.TrialSetup(
         decoder=decoder, link=link, solver_kind=solver["kind"],
         solver_cfg=scfg, **_args(sense, kind="sensing_kind"),

@@ -101,14 +101,11 @@ def _start_latents(decoder, cfg, seeds, label, warm_starts):
 
 class _Points(NamedTuple):
     """Descent rows at their current points: the latents z, (B, k), their
-    decoder outputs fz, (B, p), and hidden activations, and the Jacobians'
-    transposes jt, (B, k, p), in the layout ``_jacobian_cached`` builds, of
-    the rows where has_jt is set."""
+    decoder outputs fz, (B, p), and hidden activations, from which each
+    refresh differentiates them."""
     z: np.ndarray
     fz: np.ndarray
     hidden: list
-    jt: np.ndarray
-    has_jt: np.ndarray
 
 
 def _descend(decoder, cfg, start, objective, metric=None, record=None):
@@ -116,8 +113,7 @@ def _descend(decoder, cfg, start, objective, metric=None, record=None):
     ``start`` as one batch, each step clipped to the latent ball. ``start``
     is a (B, k) array of latents, or the end ``_Points`` of an earlier
     descent of B rows, which each row then leaves from where it ended: its
-    latent is neither decoded nor, where the earlier descent took its
-    Jacobian, differentiated again, and the points are moved in place.
+    latent is not decoded again, and the points are moved in place.
 
     ``objective(fz, rows)`` maps the decoder outputs of batch rows ``rows``
     to their values and output-space gradients; ``metric(jac, rows)`` is the
@@ -137,11 +133,9 @@ def _descend(decoder, cfg, start, objective, metric=None, record=None):
     """
     r, k = decoder.latent_radius, decoder.latent_dim
     at = start
-    if not isinstance(at, _Points):  # decoded, with no Jacobian yet
+    if not isinstance(at, _Points):
         fz, hidden = genmodel._forward_cached(decoder, start)
-        at = _Points(start.copy(), fz, hidden,
-                     np.empty(start.shape + (decoder.ambient_dim,)),
-                     np.zeros(len(start), dtype=bool))
+        at = _Points(start.copy(), fz, hidden)
     every = np.arange(len(at.z))
     note = record or (lambda rows, fz, val: None)
     val, g = objective(at.fz, every)
@@ -151,13 +145,8 @@ def _descend(decoder, cfg, start, objective, metric=None, record=None):
     w, b, vec = np.zeros(shape), np.zeros(shape), np.zeros(shape + (k,))
 
     def refresh(rows, g):  # eigen-pairs of M at rows, J^T g in their basis
-        new = rows[~at.has_jt[rows]]
-        if len(new):
-            jac = genmodel._jacobian_cached(decoder, at.z[new],
-                                            [h[new] for h in at.hidden])
-            at.jt[new], at.has_jt[new] = np.swapaxes(jac, 1, 2), True
-        if len(new) < len(rows):  # some carried over: read all from store
-            jac = np.swapaxes(at.jt[rows], 1, 2)
+        jac = genmodel._jacobian_cached(decoder, at.z[rows],
+                                        [h[rows] for h in at.hidden])
         w[rows], vec[rows] = np.linalg.eigh(np.swapaxes(jac, 1, 2) @ jac
                                             if metric is None
                                             else metric(jac, rows))
@@ -189,7 +178,6 @@ def _descend(decoder, cfg, start, objective, metric=None, record=None):
         at.z[moved], at.fz[moved], val[moved] = trial[acc], fz[acc], new[acc]
         for h, h_new in zip(at.hidden, hid):
             h[moved] = h_new[acc]
-        at.has_jt[moved] = False
         note(moved, fz[acc], new[acc])
         if (acc & ~stop).any():
             refresh(rows[acc & ~stop], g[acc & ~stop])

@@ -211,9 +211,10 @@ def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
     trial t's own operator and measurements, and all T projections of an
     iteration run as one latent batch. Each restart is a chain: from the
     second iteration on, it starts where it ended at the one before, with
-    the decoder output (and Jacobian) it ended with. An iteration that
+    the decoder output and activations it ended with. An iteration that
     moves no iterate and no chain is a fixed point: every later one would
-    repeat it, so the trajectories repeat its record to the end instead."""
+    repeat it, so the trajectories repeat its record to the end instead. A
+    finite loss whose gradient step overflows raises ValueError."""
     x = np.array([_initial_point(decoder, cfg, s) for s in seeds])
     trajs = [Trajectory() for _ in seeds]
     chains = projection._start_latents(
@@ -225,7 +226,13 @@ def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
             _record(traj, xt, loss, tgt)
         if t == cfg.iterations:
             break
-        v = x - cfg.step_size * np.array([g for _, g in fits])
+        with np.errstate(over="ignore"):
+            v = x - cfg.step_size * np.array([g for _, g in fits])
+            if (np.isfinite([f for f, _ in fits])
+                    & ~np.isfinite(np.vecdot(v, v))).any():
+                raise ValueError(f"PGD diverged at iteration {t}: the "
+                                 f"gradient step at step_size "
+                                 f"{cfg.step_size:g} overflows")
         starts = None if t == 0 else chains.z.copy()
         pres, chains = projection._project_rows(decoder, v, cfg.projection,
                                                 chains)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from genprior import analysis, genmodel, measurement, sensing, solvers
+from genprior import (analysis, cli, genmodel, measurement, sensing,
+                      solvers)
 from genprior.seeding import derive_seed
 
 U = np.finfo(float).eps / 2  # unit round-off
@@ -291,6 +292,51 @@ def test_gradient_check_applies_the_operator_once_per_point(monkeypatch):
     assert blocks > 1 and len(calls) == 2 * blocks
     assert (sorted(row.tobytes() for row in np.concatenate(calls))
             == sorted(row.tobytes() for row in np.concatenate(want)))
+
+
+def scaled(factor):
+    return lambda real: lambda *args, **kw: real(*args, **kw) * factor
+
+
+def largest_scaled(factor):  # each point's largest coordinate, in magnitude
+    def wrong(real):
+        def grad(*args, **kw):
+            g = np.array(real(*args, **kw))
+            rows = g.reshape(-1, g.shape[-1])
+            rows[np.arange(len(rows)), np.abs(rows).argmax(1)] *= factor
+            return g
+        return grad
+    return wrong
+
+
+def without_link_derivative(real):
+    def grad(op, y, link, x, ax=None):  # (1/n) A^T (f(A x) - y)
+        t = sensing._apply_each(op, x) if ax is None else ax
+        r = measurement.link_eval(link, t) - y
+        return sensing._adjoint_each(op, r) / op.n
+    return grad
+
+
+# (module, name, the real function -> a wrong version of it)
+GRADIENT_BUGS = {
+    "grad_nlasso_scaled": (solvers, "grad_nlasso", scaled(1 + 1e-4)),
+    "grad_glasso_scaled": (solvers, "grad_glasso", scaled(1 + 3e-5)),
+    "grad_nlasso_largest": (solvers, "grad_nlasso", largest_scaled(1 + 1e-3)),
+    "grad_nlasso_no_deriv": (solvers, "grad_nlasso", without_link_derivative),
+    "jacobian_scaled": (genmodel, "_jacobian_cached", scaled(1 + 1e-3)),
+}
+
+
+@pytest.mark.parametrize("seed", [20240, 1, 7, 99, 5])
+@pytest.mark.parametrize("bug", [None, *GRADIENT_BUGS])
+def test_gradient_check_fails_a_wrong_gradient(monkeypatch, bug, seed):
+    # the gradients suite, as the CLI builds it, passes the real gradients
+    # and vjp and fails each wrong one, at every seed
+    if bug is not None:
+        module, name, wrong = GRADIENT_BUGS[bug]
+        monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    [report] = cli._run_suite("gradients", seed, None)
+    assert report.passed == (bug is None)
 
 
 def hexes(arrays):

@@ -307,6 +307,30 @@ class TestRate:
         assert code in (0, 2, 3)
         assert "reshape" not in err and err.count("\n") == (code != 0)
 
+    @pytest.mark.parametrize("command", ["solve", "rate"])
+    def test_diverged_pgd_is_an_error(self, tmp_path, capsys, command):
+        # the first gradient step overflows at every trial: no result is
+        # reported, no file is written, and no overflow warning is raised
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path,
+                     decoder={"family": "mlp", "k": 4, "layer_dims": [12],
+                              "p": 48, "r": 3.0, "activation": "tanh",
+                              "weight_scale": 1.0, "seed": 3},
+                     sensing={"kind": "dense_gaussian", "n": 32},
+                     link={"kind": "shifted_cosine", "sigma": 0.1},
+                     solver={"kind": "pgd_nlasso", "step_size": 1e200,
+                             "iterations": 5,
+                             "projection": {"steps": 200, "restarts": 2}},
+                     experiment={"grid": [32], "trials": 10})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main([command, "--config", str(cfg_path), "--out",
+                             str(tmp_path / "o"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2 and not (tmp_path / "o").exists()
+        assert err == ("config error: experiment: PGD diverged at iteration "
+                       "0: the gradient step at step_size 1e+200 overflows\n")
+
 
 # (argv after "check", exit code, stdout lines) of `genprior check`
 CHECK_GOLDEN = [

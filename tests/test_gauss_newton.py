@@ -245,10 +245,13 @@ def test_warm_started_projection_takes_few_steps(monkeypatch):
 @pytest.mark.parametrize("restarts", [1, 2])
 def test_pgd_evaluates_each_latent_once(monkeypatch, restarts):
     # a restart chain starts each projection with the decoder output and
-    # Jacobian it ended the last one with, x_hat is the output the descent
-    # ended with, and PGD stops projecting at a fixed point: only the first
-    # projection's starts and the Gauss-Newton steps are decoded, and no
-    # latent twice
+    # hidden activations it ended the last one with, x_hat is the output
+    # the descent ended with, and PGD stops projecting at a fixed point:
+    # only the first projection's starts and the Gauss-Newton steps are
+    # decoded, and no latent twice. A latent is differentiated at each
+    # refresh that includes it; in this solve no chain carries a latent it
+    # differentiated into a later projection, so none is differentiated
+    # twice
     forwards, jacobians, evaluated, calls = [], [], [], []
     forward, jacobian = genmodel._forward_cached, genmodel._jacobian_cached
     descend, project_rows = projection._descend, projection._project_rows
