@@ -177,14 +177,20 @@ def vjp(decoder, z, v):
 
 
 def _forward_cached(decoder, z):
-    """Outputs for the rows of z, (B, k) or (k,), and the hidden activations."""
+    """Outputs for the rows of z, (B, k) or (k,), and the hidden activations.
+    Each layer is one new array, h @ w.T, to which the bias and activation
+    are applied in place: the bits of h @ w.T + b and then the activation."""
     hidden = []
     h = z
     last = len(decoder.layers) - 1
     for i, (w, b) in enumerate(decoder.layers):
-        h = h @ w.T + b
+        h = h @ w.T
+        h += b
         if i < last:
-            h = _act(decoder.activation, h)
+            if decoder.activation == "tanh":
+                np.tanh(h, out=h)
+            elif decoder.activation == "relu":
+                np.maximum(h, 0.0, out=h)
             hidden.append(h)
     return h, hidden
 
@@ -227,10 +233,3 @@ def _sample_latents(decoder, rng, count, inset):
     radius = decoder.latent_radius * inset * np.fromiter(roots, float, count)
     return radius[:, None] * (d / np.sqrt(np.vecdot(d, d))[:, None])
 
-
-def _act(name, x):
-    if name == "tanh":
-        return np.tanh(x)
-    if name == "relu":
-        return np.maximum(x, 0.0)
-    return x

@@ -339,15 +339,23 @@ def test_gradient_check_fails_a_wrong_gradient(monkeypatch, bug, seed):
     assert report.passed == (bug is None)
 
 
+def test_gradient_check_passes_correct_code_at_every_seed():
+    # the gradients suite, as the CLI builds it, at check seeds 0-199: the
+    # normwise deviation keeps central-difference round-off under the
+    # tolerance (a coordinate-wise ratio failed 20 of these seeds)
+    assert [seed for seed in range(200)
+            if not cli._run_suite("gradients", seed, None)[0].passed] == []
+
+
 def hexes(arrays):
     return [float(value).hex() for a in arrays for value in np.ravel(a)]
 
 
-# (kind, n, p, k): blocks of 13 and of 24 points, and blocks of one point
+# (kind, n, p, k): blocks of 26 and of 48 points, and blocks of one point
 # whose 2p = 128 stepped points _losses multiplies as 127 rows, then 1
 GRADIENT_CASES = [("dense_gaussian", 40, 24, 3),
                   ("partial_circulant", 16, 24, 1),
-                  ("dense_gaussian", 452, 64, 2)]
+                  ("dense_gaussian", 968, 64, 2)]
 
 
 @pytest.mark.parametrize("link", [measurement.linear_link(),

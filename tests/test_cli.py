@@ -382,7 +382,7 @@ CHECK_GOLDEN = [
         "[PASS] mvt: 0/100 violations, worst margin 2.266e+01",
     ]),
     (["gradients"], 0, [
-        "[PASS] gradients: 0/50 violations, worst margin 2.989e-06",
+        "[PASS] gradients: 0/50 violations, worst margin 1.910e-09",
     ]),
     (["tsrec", "--n", "1"], 1, [
         "[FAIL] tsrec: 568/1000 violations, worst margin 1.632e+00",

@@ -150,6 +150,31 @@ class TestForward:
             diff = genmodel.forward(dec, z) - straight_line_forward(dec, z)
             assert np.max(np.abs(diff)) <= 1e-12
 
+    @pytest.mark.parametrize("shape", [(5, 3), (3,)], ids=["batch", "vector"])
+    @pytest.mark.parametrize("activation", genmodel.ACTIVATIONS)
+    def test_layers_built_in_place_keep_the_bits(self, activation, shape):
+        # layer by layer, bit for bit h @ w.T + b and then the activation;
+        # the hidden list holds the activated layers and z is left unchanged
+        rng = np.random.default_rng(4)
+        layers = tuple((rng.standard_normal((d_out, d_in)),
+                        rng.standard_normal(d_out))
+                       for d_in, d_out in [(3, 6), (6, 5), (5, 7)])
+        dec = genmodel.GenerativeDecoder(3, 7, 1.0, layers, activation, 0, 1.0)
+        act = {"tanh": np.tanh, "relu": lambda h: np.maximum(h, 0.0),
+               "identity": lambda h: h}[activation]
+        z = rng.standard_normal(shape)
+        z0 = z.copy()
+        out, hidden = genmodel._forward_cached(dec, z)
+        assert z.tobytes() == z0.tobytes()
+        expected, h = [], z0
+        for i, (w, b) in enumerate(layers):
+            h = h @ w.T + b
+            if i < len(layers) - 1:
+                h = act(h)
+            expected.append(h)
+        assert [(a.shape, a.tobytes()) for a in [*hidden, out]] == [
+            (e.shape, e.tobytes()) for e in expected]
+
     def test_dimension_mismatch(self):
         dec = genmodel.decoder_new(0, 2, [], 4, 1.0)
         with pytest.raises(ValueError):
