@@ -12,6 +12,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -478,25 +479,29 @@ def _draw_instance(setup, n, seed):
     """The operator, measurements, signal x* and error target of one seed.
 
     Both observation models plant x* = G(z*) at the latent z* of
-    ``derive_seed(seed, "signal")`` and reject a zero G(z*). The target of
-    known mode is x*. Sim mode scales x* to unit norm, as the link hides
-    its scale, and targets mu x*. A rescaled t x*, t >= 0, lies in the
-    decoder range exactly when the decoder is positively homogeneous
-    (linear, or relu with its zero biases) and t z* / ||G(z*)|| stays in
-    the latent ball. Tanh decoders are not: on those measured, the median
-    relative distance from mu x* to G(B_2^k(r)) was 0.17 to 0.45, a
-    representation error at which sim-mode errors floor. A solver that
-    does not match the observation model (``TrialSetup.matched``) has the
-    target None.
+    ``derive_seed(seed, "signal")`` and reject a G(z*) that is zero or has
+    no finite norm. The target of known mode is x*. Sim mode scales x* to
+    unit norm, as the link hides its scale, and targets mu x*. A rescaled
+    t x*, t >= 0, lies in the decoder range exactly when the decoder is
+    positively homogeneous (linear, or relu with its zero biases) and
+    t z* / ||G(z*)|| stays in the latent ball. Tanh decoders are not: on
+    those measured, the median relative distance from mu x* to G(B_2^k(r))
+    was 0.17 to 0.45, a representation error at which sim-mode errors
+    floor. A solver that does not match the observation model
+    (``TrialSetup.matched``) has the target None.
     """
     decoder, link = setup.decoder, setup.link
     op = sensing.sensing_new(setup.sensing_kind, n, decoder.ambient_dim,
                              derive_seed(seed, "sensing"))
-    x_star = genmodel.forward(decoder, genmodel.sample_latent(
-        decoder, derive_seed(seed, "signal")))
-    norm = np.linalg.norm(x_star)
+    with np.errstate(all="ignore"):  # a non-finite norm is reported below
+        x_star = genmodel.forward(decoder, genmodel.sample_latent(
+            decoder, derive_seed(seed, "signal")))
+        norm = np.linalg.norm(x_star)
     if norm == 0.0:
         raise ValueError("decoder output at the planted latent is zero")
+    if not np.isfinite(norm):
+        raise ValueError("decoder output at the planted latent has no finite "
+                         "norm")
     if setup.resolved_observation() == "sim":
         x_star = x_star / norm
         y = observe_sim(link, op, x_star, derive_seed(seed, "observe"))
@@ -537,7 +542,7 @@ def rate_experiment(grid, trials, setup, seed, threads=1):
     against c * sqrt(k log(L r / delta) / n) by least squares. The trials of
     a grid point run in lockstep groups of consecutive seeds (see
     ``_split_trials``). Up to ``threads`` forked workers take whole groups,
-    at most one worker per group, and a single group runs in-process. The
+    at most one per group and one per CPU; one worker runs in-process. The
     split does not depend on ``threads`` and aggregation folds trials in
     seed order, so the output is independent of scheduling.
     """
@@ -561,13 +566,13 @@ def rate_experiment(grid, trials, setup, seed, threads=1):
         jobs += [(setup, n, group) for group in _split_trials(seeds, cells)]
     # workers inherit the parent's pin, which needs fork: forkserver (the
     # Linux default from Python 3.14) would start them at the host's count
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
     with _one_blas_thread():
-        if threads > 1 and len(jobs) > 1:
+        if workers > 1:
             import multiprocessing as mp
             from concurrent.futures import ProcessPoolExecutor
             fork = "fork" if "fork" in mp.get_all_start_methods() else None
-            with ProcessPoolExecutor(min(threads, len(jobs)),
-                                     mp.get_context(fork)) as ex:
+            with ProcessPoolExecutor(workers, mp.get_context(fork)) as ex:
                 groups = list(ex.map(_run_trials_star, jobs, chunksize=1))
         else:
             groups = [run_trials(*j) for j in jobs]

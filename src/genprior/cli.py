@@ -177,8 +177,9 @@ def cmd_solve(args):
     # the operator is drawn in the solve, so its size is checked here
     with _reported("sensing"):
         analysis._check_n(n, setup.sensing_kind, setup.decoder.ambient_dim, "n")
-    # as in rate: a planted signal the decoder maps to zero is a config error
+    # as in rate: an unusable L or planted signal is a config error
     with _reported("experiment"):
+        lipschitz = setup.decoder.lipschitz
         result = analysis.solve_instance(setup, n, derive_seed(master, "solve"))
     metrics = {
         "n": n,
@@ -187,7 +188,7 @@ def cmd_solve(args):
         "solver": setup.solver_kind,
         "link": setup.link.kind,
         "mu": setup.link.mu,
-        "lipschitz_bound": setup.decoder.lipschitz,
+        "lipschitz_bound": lipschitz,
         "final_loss": result.record.loss,
         "l2_error": result.record.error if setup.matched() else None,
         "cosine_similarity": result.record.cosine,
@@ -215,7 +216,7 @@ def cmd_rate(args):
     with _reported("experiment"):
         table = analysis.rate_experiment(exp["grid"], exp.get("trials", 30),
                                          setup, derive_seed(master, "rate"),
-                                         threads=_threads(args))
+                                         threads=args.threads)
     _write_outputs(out_dir, {
         "rate.csv": lambda path: _write_rate_csv(table, path),
         "rate.json": lambda path: _write_json(path, dataclasses.asdict(table))})
@@ -352,9 +353,10 @@ def cmd_model_info(args):
     with _reported(args.path, (ConfigError, ValueError)):
         _check(doc, "decoder")
         dec = _decoder(doc)
+        lipschitz = dec.lipschitz
     print(f"family={dec.family} k={dec.latent_dim} p={dec.ambient_dim} "
           f"r={dec.latent_radius} activation={dec.activation} "
-          f"layers={len(dec.layers)} L={dec.lipschitz:.6g}")
+          f"layers={len(dec.layers)} L={lipschitz:.6g}")
     return EXIT_OK
 
 
@@ -554,11 +556,6 @@ def _write_rate_csv(table, path):
             ratio = r.median_error / r.predicted if r.predicted > 0 else float("nan")
             w.writerow([r.n, r.trials, repr(r.median_error), repr(r.q25),
                         repr(r.q75), repr(r.predicted), repr(ratio)])
-
-
-def _threads(args):
-    """Worker count from --threads, in [1, cpu count]."""
-    return min(max(1, args.threads), os.cpu_count() or 1)
 
 
 if __name__ == "__main__":

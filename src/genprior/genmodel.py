@@ -74,7 +74,10 @@ class GenerativeDecoder:
 def _spectral_norm(w):
     """Largest singular value of w, exactly: the root of the top eigenvalue
     of the smaller of the Gram matrices w^T w and w w^T."""
-    gram = w.T @ w if w.shape[0] >= w.shape[1] else w @ w.T
+    with np.errstate(all="ignore"):
+        gram = w.T @ w if w.shape[0] >= w.shape[1] else w @ w.T
+    if not np.isfinite(gram).all():
+        raise ValueError("a layer's Gram matrix overflows: weights too large")
     return math.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
 
 

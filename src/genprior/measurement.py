@@ -69,17 +69,15 @@ def sign_dithered_link(sigma_d=0.0, tau=0.0):
     return _finish(LinkModel("sign_dithered", sigma_d=float(sigma_d), tau=tau))
 
 
-def custom_monotone_link(f, fprime, lo, hi, sigma=0.0, tau=0.0,
-                         grid=None):
+def custom_monotone_link(f, fprime, lo, hi, sigma=0.0, tau=0.0):
     """User-supplied (f, f') with declared derivative bounds.
 
-    The declared bounds are verified on a grid at construction; a violation
-    is rejected rather than trusted.
+    The declared bounds are verified on a grid of 2001 points in [-10, 10]
+    at construction; a violation is rejected rather than trusted.
     """
     if not (0 < lo <= hi):
         raise ValueError("need 0 < lo <= hi")
-    if grid is None:
-        grid = np.linspace(-10.0, 10.0, 2001)
+    grid = np.linspace(-10.0, 10.0, 2001)
     d = np.asarray([fprime(t) for t in grid], dtype=float)
     if np.any(d < lo - 1e-9) or np.any(d > hi + 1e-9):
         raise ValueError("declared derivative bounds violated on the check grid")

@@ -57,16 +57,20 @@ def project(decoder, x, cfg, seed, warm_start=None):
     if x.shape != (decoder.ambient_dim,):
         raise ValueError(f"expected ambient vector of length {decoder.ambient_dim}")
     start = _start_latents(decoder, cfg, [seed], "restart", [warm_start])
-    return _project_rows(decoder, x[None], cfg, start)[0][0]
+    ends, (i,), oob = _project_rows(decoder, x[None], cfg, start)
+    x_hat = ends.fz[i].copy()  # copies, not views of the whole batch
+    return ProjectionResult(ends.z[i].copy(), x_hat,
+                            float(np.linalg.norm(x_hat - x)), int(i),
+                            int(oob[i]))
 
 
 def _project_rows(decoder, x, cfg, start):
     """``project`` of every row of x, (T, p). The T * cfg.restarts descents
     advance as one batch from ``start``: their start latents, restarts
     consecutive rows per target, or the end ``_Points`` of an earlier call
-    on T targets, from which each descent resumes. Each target keeps the
-    best of its own restarts. Returns the results and the end ``_Points``
-    of every descent."""
+    on T targets, from which each descent resumes. Returns the end
+    ``_Points`` of every descent, the row of each target's best restart
+    (``_best_rows``) and each row's count of out-of-ball steps."""
     targets = x[_owners(len(x), cfg.restarts)]
 
     def objective(fz, rows):
@@ -74,12 +78,7 @@ def _project_rows(decoder, x, cfg, start):
         return 0.5 * np.add.reduce(d * d, 1), d
 
     ends, res, oob = _descend(decoder, cfg, start, objective)
-    best = _best_rows(res, cfg.restarts)
-    z_hat, x_hat = ends.z[best], ends.fz[best]  # copies: descents move ends
-    return [ProjectionResult(z_hat[t], x_hat[t],
-                             float(np.linalg.norm(x_hat[t] - x[t])),
-                             int(i - t * cfg.restarts), int(oob[i]))
-            for t, i in enumerate(best)], ends
+    return ends, _best_rows(res, cfg.restarts), oob
 
 
 def _start_latents(decoder, cfg, seeds, label, warm_starts):

@@ -80,10 +80,8 @@ class Trajectory:
 
 
 def loss_glasso(op, y_tilde, x):
-    """(1/2n) ||y - A x||^2."""
-    y_tilde = _check_measurements(op, y_tilde)
-    r = sensing.apply(op, x) - y_tilde
-    return float(r @ r) / (2.0 * op.n)
+    """``_fit``'s loss (1/2n) ||y - A x||^2."""
+    return float(_fit(op, _check_measurements(op, y_tilde), None, x)[0])
 
 
 def grad_glasso(op, y_tilde, x, ax=None):
@@ -93,11 +91,9 @@ def grad_glasso(op, y_tilde, x, ax=None):
 
 
 def loss_nlasso(op, y_tilde, link, x):
-    """(1/2n) ||y - f(A x)||^2 for a differentiable link."""
+    """``_fit``'s loss (1/2n) ||y - f(A x)||^2, for a differentiable link."""
     _require_differentiable(link)
-    y_tilde = _check_measurements(op, y_tilde)
-    r = link_eval(link, sensing.apply(op, x)) - y_tilde
-    return float(r @ r) / (2.0 * op.n)
+    return float(_fit(op, _check_measurements(op, y_tilde), link, x)[0])
 
 
 def grad_nlasso(op, y_tilde, link, x, ax=None):
@@ -234,9 +230,9 @@ def _pgd_loop(ops, ys, link, decoder, cfg, seeds, targets):
                                  f"gradient step at step_size "
                                  f"{cfg.step_size:g} overflows")
         starts = None if t == 0 else chains.z.copy()
-        pres, chains = projection._project_rows(decoder, v, cfg.projection,
-                                                chains)
-        x_next = np.array([r.x_hat for r in pres])
+        chains, best, _ = projection._project_rows(decoder, v, cfg.projection,
+                                                   chains)
+        x_next = chains.fz[best]
         if (starts is not None and np.array_equal(x_next, x)
                 and np.array_equal(chains.z, starts)):
             for traj in trajs:

@@ -224,7 +224,7 @@ def test_criterion_7_concentration_checks():
     assert rep_cos.violations == 0 and rep_cos.worst_margin >= 0.0
 
 
-@criterion(8, "link gain values (quadrature, closed form and Monte Carlo)")
+@criterion(8, "link gain values (closed forms and Monte Carlo)")
 def test_criterion_8_link_gains():
     assert abs(measurement.mu_of_link(measurement.linear_link()) - 1.0) <= 1e-12
     assert abs(measurement.mu_of_link(measurement.shifted_cosine_link())

@@ -2,6 +2,7 @@ import collections
 import concurrent.futures
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -274,6 +275,21 @@ def counting_setters(blas, sets):
 
 
 class TestTrials:
+    def test_planted_signal_whose_norm_overflows_is_rejected(self):
+        # tanh bounds the hidden layer, so G(z*) is finite at weight scale
+        # 1e200, but its norm is not: sim mode would divide by inf
+        dec = genmodel.decoder_new(3, 4, [16], 32, 3.0, "tanh", 1e200)
+        setup = analysis.TrialSetup(
+            decoder=dec, link=measurement.linear_link(),
+            solver_kind="pgd_glasso", solver_cfg=SolverConfig(step_size=1.0))
+        x = genmodel.forward(dec, genmodel.sample_latent(
+            dec, derive_seed(1, "signal")))
+        assert np.isfinite(x).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="has no finite norm$"):
+                analysis.solve_instance(setup, 20, 1)
+
     @pytest.mark.parametrize("observation", ["sim", "known"])
     def test_draw_instance_plants_one_signal(self, observation):
         # both modes decode G(z*) at the latent of the "signal" seed; sim
@@ -481,6 +497,8 @@ class TestRateExperiment:
             return real(max_workers, mp_context)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        # eight CPUs, so that the jobs, not the host, cap the workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         setup = tiny_noiseless_setup()
         table = analysis.rate_experiment([40, 80], 10, setup, seed=3,
                                          threads=8)

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import copy
 import json
 import os
@@ -282,10 +283,34 @@ class TestRate:
         assert [p.name for p in out.iterdir()] == [name]
         assert (out / name).is_dir()
 
-    def test_threads_capped_at_cpu_count(self):
-        # _threads only computes the worker count; no pool is started
-        cap = os.cpu_count() or 1
-        assert cli._threads(argparse.Namespace(threads=10**6)) == cap
+    def test_threads_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        # rate_experiment caps the workers; the fake pool runs the jobs
+        # in-process and records the count asked for, so none is started
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers, mp_context):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, experiment={"grid": [40, 48, 56],
+                                           "trials": 10})
+        assert cli.main(["rate", "--config", str(cfg_path), "--out",
+                         str(tmp_path / "o"), "--quiet",
+                         "--threads", str(10**6)]) == 0
+        cap = min(3, os.cpu_count() or 1)  # three jobs: one per grid point
+        assert pools == ([cap] if cap > 1 else [])
 
     @pytest.mark.parametrize("command", ["solve", "rate"])
     def test_diverging_steps_do_not_crash(self, tmp_path, capsys, command):
@@ -712,6 +737,21 @@ class TestModel:
         assert err.startswith(f"config error: {path}: decoder.{key}: ")
         assert err.count("\n") == 1
 
+    def test_info_on_a_layer_gram_matrix_that_overflows(self, tmp_path,
+                                                         capsys):
+        # model new does not read L; model info does, and reports a Gram
+        # matrix that overflows in one line instead of LinAlgError
+        path = tmp_path / "dec.json"
+        assert cli.main(["model", "new", "--k", "4", "--hidden", "16", "--p",
+                         "32", "--activation", "identity", "--scale", "1e200",
+                         "--out", str(path)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["model", "info", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {path}: a layer's "
+                                           "Gram matrix overflows: weights "
+                                           "too large\n")
+
     def test_info_on_mistyped_field(self, tmp_path, capsys):
         path = tmp_path / "dec.json"
         path.write_text(json.dumps({"family": "mlp", "k": "a", "p": 8,
@@ -902,6 +942,43 @@ class TestConfigErrors:
             experiment={"grid": [8], "trials": 10})
         assert (code, err) == (2, "config error: experiment: decoder output "
                                   "at the planted latent is zero\n")
+
+    @pytest.mark.parametrize("command", ["solve", "rate"])
+    def test_signal_planted_at_a_non_finite_output(self, tmp_path, capsys,
+                                                   command):
+        # four identity layers of weight scale 1e100 overflow, so the
+        # output at the planted latent is not finite: no NaN result is
+        # written and no overflow warning is raised (L is inf, which the
+        # product of the layers' norms reaches without an error)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, err = self._rejected(
+                tmp_path, capsys, command, master_seed=1,
+                decoder={"family": "mlp", "k": 4, "layer_dims": [16, 16, 16],
+                         "p": 32, "r": 3.0, "activation": "identity",
+                         "weight_scale": 1e100},
+                sensing={"kind": "dense_gaussian", "n": 20},
+                link={"kind": "linear"},
+                solver={"kind": "pgd_nlasso", "iterations": 3},
+                experiment={"grid": [20], "trials": 10})
+        assert (code, err) == (2, "config error: experiment: decoder output "
+                                  "at the planted latent has no finite norm\n")
+
+    @pytest.mark.parametrize("command", ["solve", "rate"])
+    def test_layer_gram_matrix_that_overflows(self, tmp_path, capsys,
+                                              command):
+        # at weight scale 1e200 a layer's Gram matrix overflows, so L cannot
+        # be read off it; solve reads L before it draws the instance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, err = self._rejected(
+                tmp_path, capsys, command,
+                decoder={"family": "mlp", "k": 4, "layer_dims": [16],
+                         "p": 32, "r": 3.0, "activation": "identity",
+                         "weight_scale": 1e200},
+                experiment={"grid": [40], "trials": 10})
+        assert (code, err) == (2, "config error: experiment: a layer's Gram "
+                                  "matrix overflows: weights too large\n")
 
     # Sizes a constructor cannot take are rejected before any weight or
     # operator is drawn, with a message that names the key.

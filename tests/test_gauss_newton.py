@@ -99,8 +99,9 @@ def test_result_stays_in_ball(seed, k, activation, restarts, scale, warm):
     cfg = ProjectionConfig(restarts=restarts)
     start = projection._start_latents(dec, cfg, [seed, seed + 1], "restart",
                                       warms)
-    for res in projection._project_rows(dec, x, cfg, start)[0]:
-        assert np.linalg.norm(res.z_hat) <= dec.latent_radius + 1e-12
+    ends, best, _ = projection._project_rows(dec, x, cfg, start)
+    for z_hat in ends.z[best]:
+        assert np.linalg.norm(z_hat) <= dec.latent_radius + 1e-12
 
 
 def test_nan_target_row_freezes_and_leaves_the_others_alone():
@@ -111,13 +112,14 @@ def test_nan_target_row_freezes_and_leaves_the_others_alone():
     cfg = ProjectionConfig(restarts=2)
     start = projection._start_latents(dec, cfg, [4, 5, 6], "restart",
                                       [None] * 3)
-    got = projection._project_rows(dec, x, cfg, start)[0]
-    assert np.array_equal(got[1].z_hat, start[2])
-    assert got[1].out_of_ball_steps == 0 and np.isnan(got[1].residual)
+    ends, best, oob = projection._project_rows(dec, x, cfg, start)
+    assert np.array_equal(ends.z[best[1]], start[2])
+    assert oob[best[1]] == 0 and np.isnan(
+        np.linalg.norm(ends.fz[best[1]] - x[1]))
     for t in (0, 2):
         solo = projection.project(dec, x[t], cfg, seed=4 + t)
-        assert np.max(np.abs(got[t].z_hat - solo.z_hat)) <= 1e-10
-        assert got[t].restart_index == solo.restart_index
+        assert np.max(np.abs(ends.z[best[t]] - solo.z_hat)) <= 1e-10
+        assert best[t] - t * cfg.restarts == solo.restart_index
 
 
 @pytest.mark.parametrize("restarts", [1, 2])
@@ -271,9 +273,9 @@ def test_pgd_evaluates_each_latent_once(monkeypatch, restarts):
         return descend(decoder, cfg, start, counted, *args)
 
     def spy_project_rows(*args):
-        out = project_rows(*args)
-        calls.append((args, [(r.z_hat, r.x_hat) for r in out[0]]))
-        return out
+        ends, best, oob = project_rows(*args)  # copies: later calls move ends
+        calls.append((args, list(zip(ends.z[best], ends.fz[best]))))
+        return ends, best, oob
 
     dec = genmodel.decoder_new(101, 8, [32], 256, 3.0, "tanh", 1.0)
     op = sensing.sensing_new("dense_gaussian", 250, 256, 3)
@@ -301,9 +303,9 @@ def test_pgd_evaluates_each_latent_once(monkeypatch, restarts):
     assert 1 < len(calls) < 30 and len(traj.loss_values) == 31
     (_, v, pcfg, chains), last = calls[-1]
     ends = chains.z.copy()
-    again, moved = project_rows(dec, v, pcfg, chains)
+    moved, best, _ = project_rows(dec, v, pcfg, chains)
     assert np.array_equal(moved.z, ends)
-    assert np.array_equal(again[0].x_hat, last[0][1])
+    assert np.array_equal(moved.fz[best[0]], last[0][1])
     assert np.array_equal(x_hat, last[0][1])
     for series in (traj.loss_values, traj.error_to_target):
         assert len(set(series[len(calls) - 1:])) == 1

@@ -176,8 +176,8 @@ def test_batched_projection_stays_in_ball(targets, k, restarts, scale, seed):
             for t in range(targets)]
     start = projection._start_latents(dec, cfg, range(targets), "restart",
                                       warm)
-    out = projection._project_rows(dec, x, cfg, start)[0]
-    assert len(out) == targets
-    for res in out:
-        assert np.linalg.norm(res.z_hat) <= dec.latent_radius * (1 + 1e-12)
-        assert 0 <= res.restart_index < restarts
+    ends, best, _ = projection._project_rows(dec, x, cfg, start)
+    assert len(best) == targets
+    for t, i in enumerate(best):
+        assert np.linalg.norm(ends.z[i]) <= dec.latent_radius * (1 + 1e-12)
+        assert 0 <= i - t * restarts < restarts

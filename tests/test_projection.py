@@ -130,6 +130,30 @@ class TestProject:
         assert np.array_equal(a.z_hat, b.z_hat)
         assert a.restart_index == b.restart_index
 
+    @pytest.mark.parametrize("activation, restarts, warm", [
+        ("tanh", 1, False), ("tanh", 3, True), ("relu", 2, False),
+        ("identity", 2, True)])
+    def test_result_is_the_winning_row_of_the_batch(self, activation,
+                                                    restarts, warm):
+        # project builds its one result from _project_rows' arrays: the
+        # best row's latent and output, their residual, its restart and
+        # its out-of-ball steps, bit for bit
+        dec = genmodel.decoder_new(7, 4, [12], 20, 1.5, activation, 1.0)
+        rng = np.random.default_rng(3)
+        x = 20.0 * rng.standard_normal(dec.ambient_dim)
+        z0 = 5.0 * rng.standard_normal(4) if warm else None
+        cfg = ProjectionConfig(restarts=restarts)
+        res = projection.project(dec, x, cfg, seed=11, warm_start=z0)
+        start = projection._start_latents(dec, cfg, [11], "restart", [z0])
+        ends, (i,), oob = projection._project_rows(dec, x[None], cfg, start)
+        assert res.z_hat.tobytes() == ends.z[i].tobytes()
+        assert res.x_hat.tobytes() == ends.fz[i].tobytes()
+        assert res.residual.hex() == float(
+            np.linalg.norm(ends.fz[i] - x)).hex()
+        assert (res.restart_index, res.out_of_ball_steps) == (i, oob[i])
+        assert type(res.restart_index) is int
+        assert type(res.out_of_ball_steps) is int
+
     def test_dimension_mismatch(self):
         dec = genmodel.decoder_new(0, 2, [], 4, 1.0)
         with pytest.raises(ValueError):

@@ -96,6 +96,26 @@ class TestLosses:
                 assert float(got[0]).hex() == want[0].hex()
                 assert np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("kind,n,p", [
+        ("dense_gaussian", 5, 8), ("dense_gaussian", 60, 40),
+        ("dense_gaussian", 400, 784), ("partial_circulant", 5, 8),
+        ("partial_circulant", 37, 64), ("partial_circulant", 400, 784)])
+    def test_losses_equal_the_reference_formula(self, kind, n, p):
+        # loss_glasso and loss_nlasso read their loss off _fit; it is bit
+        # for bit (1/2n) ||f(A x) - y||^2 written out for one vector
+        links = (measurement.linear_link(), measurement.shifted_cosine_link())
+        for seed in range(10):
+            op = sensing.sensing_new(kind, n, p, derive_seed(seed, kind))
+            rng = np.random.default_rng(seed)
+            x = rng.uniform(0.1, 10.0) * rng.standard_normal(p)
+            y = rng.standard_normal(n)
+            t = sensing.apply(op, x)
+            got = [solvers.loss_glasso(op, y, x)] + [
+                solvers.loss_nlasso(op, y, link, x) for link in links]
+            for value, f in zip(got, (None, *links)):
+                r = (t if f is None else measurement.link_eval(f, t)) - y
+                assert value.hex() == (float(r @ r) / (2.0 * n)).hex()
+
 
 class TestMuFactors:
     def test_mu1_balanced_at_unit_step(self):
